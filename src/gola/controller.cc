@@ -20,7 +20,6 @@ const char* DegradationName(Degradation d) {
     case Degradation::kSkipMaterialize: return "skip_materialize";
     case Degradation::kReducedReplicates: return "reduced_replicates";
     case Degradation::kStoppedEarly: return "stopped_early";
-    case Degradation::kStragglerSkip: return "straggler_skip";
   }
   return "unknown";
 }
@@ -135,14 +134,6 @@ Status OnlineQueryExecutor::Prepare(
   }
   if (!options_.trace_path.empty()) obs::Tracer::Global().Enable();
 
-  // Merge-skeleton executors (dist coordinator bookkeeping) skip the whole
-  // introspection layer: the coordinator publishes one aggregated entry.
-  if (options_.quiet_introspection) {
-    labels_ = options_.metrics_labels;
-    total_timer_.Restart();
-    return Status::OK();
-  }
-
   // --- live introspection wiring (observes only; never changes results) --
   // HTTP server: option wins, GOLA_HTTP_PORT env is the no-recompile path.
   int http_port = options_.http_port;
@@ -177,9 +168,9 @@ Status OnlineQueryExecutor::Prepare(
     session_labels.table = labels_.table;
     batches_labeled_ = reg.GetCounter("gola_online_batches_total", session_labels);
     batch_us_labeled_ = reg.GetHistogram("gola_online_batch_us", session_labels);
-    static const char* kPhases[5] = {"envelope", "delta", "emit", "rebuild",
-                                     "materialize"};
-    for (int p = 0; p < 5; ++p) {
+    static const char* kPhases[6] = {"scan",    "envelope", "delta",
+                                     "emit",    "rebuild",  "materialize"};
+    for (int p = 0; p < 6; ++p) {
       obs::MetricLabels phase_labels = session_labels;
       phase_labels.phase = kPhases[p];
       phase_us_labeled_[p] = reg.GetHistogram("gola_online_phase_us", phase_labels);
@@ -261,23 +252,30 @@ Result<OnlineUpdate> OnlineQueryExecutor::Step() {
   Stopwatch batch_timer;
 
   const int i = next_batch_;  // 0-based
-  // Pin the batch for the whole step: streamed partitioners retain only a
-  // small window of recent batches.
-  std::shared_ptr<const Chunk> batch_pin = partitioner_->BatchShared(i);
-  const Chunk& batch = *batch_pin;
-
-  // Multiplicity m = N / |D_i| (§2.2); computed from rows rather than k/i so
-  // the uneven final batch stays unbiased.
-  rows_through_ += static_cast<int64_t>(batch.num_rows());
-  const int64_t rows_through = rows_through_;
-  double scale = static_cast<double>(partitioner_->total_rows()) /
-                 static_cast<double>(rows_through);
-
   OnlineUpdate update;
   bool recomputed = false;
   {
     obs::TraceSpan batch_span("batch", "index", i);
     obs::FlightRecorder::Global().Note("batch_begin", nullptr, i);
+    // Pin the batch for the whole step: streamed partitioners retain only a
+    // small window of recent batches. On a segment-backed table this fetch
+    // gathers and decodes the batch.
+    std::shared_ptr<const Chunk> batch_pin;
+    {
+      Stopwatch scan_timer;
+      obs::TraceSpan scan_span("scan", "batch", i);
+      batch_pin = partitioner_->BatchShared(i);
+      update.stats.scan_seconds = scan_timer.ElapsedSeconds();
+    }
+    const Chunk& batch = *batch_pin;
+
+    // Multiplicity m = N / |D_i| (§2.2); computed from rows rather than k/i
+    // so the uneven final batch stays unbiased.
+    rows_through_ += static_cast<int64_t>(batch.num_rows());
+    const int64_t rows_through = rows_through_;
+    double scale = static_cast<double>(partitioner_->total_rows()) /
+                   static_cast<double>(rows_through);
+
     for (auto& block : blocks_) {
       GOLA_ASSIGN_OR_RETURN(RangeFailure violated,
                             block->ProcessBatch(batch, scale, &env_, &update.stats));
@@ -401,11 +399,11 @@ Result<OnlineUpdate> OnlineQueryExecutor::Step() {
     if (batches_labeled_ != nullptr) {
       batches_labeled_->Add(1);
       batch_us_labeled_->Record(static_cast<int64_t>(update.batch_seconds * 1e6));
-      const double phase_seconds[5] = {
-          update.stats.envelope_check_seconds, update.stats.delta_exec_seconds,
-          update.stats.emit_seconds, update.stats.rebuild_seconds,
-          update.stats.materialize_seconds};
-      for (int p = 0; p < 5; ++p) {
+      const double phase_seconds[6] = {
+          update.stats.scan_seconds,     update.stats.envelope_check_seconds,
+          update.stats.delta_exec_seconds, update.stats.emit_seconds,
+          update.stats.rebuild_seconds,  update.stats.materialize_seconds};
+      for (int p = 0; p < 6; ++p) {
         phase_us_labeled_[p]->Record(static_cast<int64_t>(phase_seconds[p] * 1e6));
       }
     }

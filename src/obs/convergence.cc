@@ -39,13 +39,14 @@ void ConvergenceRecorder::Append(const ConvergenceRecord& r) {
       "\"max_rsd\": %.6g, \"uncertain_tuples\": %lld, "
       "\"uncertain_groups\": %lld, \"recomputes\": %d, \"result_rows\": %lld, "
       "\"batch_seconds\": %.6g, \"elapsed_seconds\": %.6g, "
-      "\"phases\": {\"envelope_check\": %.6g, \"delta_exec\": %.6g, "
-      "\"emit\": %.6g, \"rebuild\": %.6g, \"materialize\": %.6g}, ",
+      "\"phases\": {\"scan\": %.6g, \"envelope_check\": %.6g, "
+      "\"delta_exec\": %.6g, \"emit\": %.6g, \"rebuild\": %.6g, "
+      "\"materialize\": %.6g}, ",
       r.max_rsd, static_cast<long long>(r.uncertain_tuples),
       static_cast<long long>(r.uncertain_groups), r.recomputes,
       static_cast<long long>(r.result_rows), r.batch_seconds, r.elapsed_seconds,
-      r.stats.envelope_check_seconds, r.stats.delta_exec_seconds,
-      r.stats.emit_seconds, r.stats.rebuild_seconds,
+      r.stats.scan_seconds, r.stats.envelope_check_seconds,
+      r.stats.delta_exec_seconds, r.stats.emit_seconds, r.stats.rebuild_seconds,
       r.stats.materialize_seconds);
   line += "\"groups\": " + r.groups.ToJson() + "}\n";
   // One fwrite per record: stdio locks the stream per call, so the line

@@ -81,6 +81,7 @@ std::string QueryLogRecord::ToJson() const {
   out += "\"stats\": {";
   {
     std::string inner;
+    AppendField(inner, "scan_seconds", stats.scan_seconds);
     AppendField(inner, "envelope_check_seconds", stats.envelope_check_seconds);
     AppendField(inner, "delta_exec_seconds", stats.delta_exec_seconds);
     AppendField(inner, "emit_seconds", stats.emit_seconds);

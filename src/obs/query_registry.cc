@@ -46,23 +46,16 @@ void AppendQueryJson(const QueryStatus& q, std::string* out) {
     *out += "\"" + JsonEscape(q.warnings[i]) + "\"";
   }
   *out += "]";
-  if (!q.shards.empty()) {
-    *out += ", \"shards\": [";
-    for (size_t i = 0; i < q.shards.size(); ++i) {
-      if (i) *out += ", ";
-      *out += "\"" + JsonEscape(q.shards[i]) + "\"";
-    }
-    *out += "]";
-  }
   const QueryStats& s = q.last_stats;
   *out += Format(
-      ", \"last_batch\": {\"envelope_check_seconds\": %.6g, "
+      ", \"last_batch\": {\"scan_seconds\": %.6g, "
+      "\"envelope_check_seconds\": %.6g, "
       "\"delta_exec_seconds\": %.6g, \"emit_seconds\": %.6g, "
       "\"rebuild_seconds\": %.6g, \"materialize_seconds\": %.6g, "
       "\"morsels\": %lld, \"rows_in\": %lld, \"rows_folded\": %lld, "
       "\"rows_uncertain\": %lld, \"failure_cause\": %s%s%s}}",
-      s.envelope_check_seconds, s.delta_exec_seconds, s.emit_seconds,
-      s.rebuild_seconds, s.materialize_seconds,
+      s.scan_seconds, s.envelope_check_seconds, s.delta_exec_seconds,
+      s.emit_seconds, s.rebuild_seconds, s.materialize_seconds,
       static_cast<long long>(s.morsels), static_cast<long long>(s.rows_in),
       static_cast<long long>(s.rows_folded),
       static_cast<long long>(s.rows_uncertain),

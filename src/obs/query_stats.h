@@ -13,6 +13,9 @@ namespace obs {
 /// Phase seconds are disjoint; their sum is ≤ OnlineUpdate::batch_seconds
 /// (the remainder is controller bookkeeping).
 struct QueryStats {
+  /// Fetching the mini-batch from the partitioner (on a segment-backed
+  /// table: gathering and decoding its rows).
+  double scan_seconds = 0;
   /// Envelope / decision-validity monitoring before the delta run (§3.2).
   double envelope_check_seconds = 0;
   /// Morsel-parallel delta pipeline: DimJoin → Filter → Classify → Fold.

@@ -197,36 +197,41 @@ TEST_F(CheckpointTest, TruncatedAndCorruptedFilesAreRejected) {
                  std::istreambuf_iterator<char>());
   }
   ASSERT_GT(bytes.size(), 64u);
+  auto resume_from = [&](const std::string& contents) {
+    {
+      std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+      out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
+    }
+    return engine_.ResumeOnline(kQuery, path_, opts).status();
+  };
+  GOLA_CHECK_OK(resume_from(bytes));  // sanity: the clean bytes resume
 
-  // Truncation (lost tail) and a flipped byte mid-payload must both fail
-  // loudly instead of resuming from silently wrong state.
-  {
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 9));
+  // Truncation (lost tail) and flipped bits anywhere must fail loudly
+  // instead of resuming from silently wrong state.
+  for (size_t cut : {size_t{0}, size_t{7}, bytes.size() / 2, bytes.size() - 9,
+                     bytes.size() - 1}) {
+    EXPECT_EQ(resume_from(bytes.substr(0, cut)).code(), StatusCode::kIoError)
+        << "resumed from the first " << cut << " bytes";
   }
-  EXPECT_EQ(engine_.ResumeOnline(kQuery, path_, opts).status().code(),
-            StatusCode::kIoError);
-
   std::string corrupt = bytes;
   corrupt[corrupt.size() / 2] ^= 0x40;
-  {
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    out.write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
+  EXPECT_FALSE(resume_from(corrupt).ok());
+  Rng fuzz(314159);
+  for (int trial = 0; trial < 64; ++trial) {
+    corrupt = bytes;
+    const size_t pos = static_cast<size_t>(
+        fuzz.UniformInt(0, static_cast<int64_t>(corrupt.size()) - 1));
+    corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x10);
+    EXPECT_FALSE(resume_from(corrupt).ok()) << "bit flip at byte " << pos;
   }
-  auto st = engine_.ResumeOnline(kQuery, path_, opts).status();
-  EXPECT_FALSE(st.ok());
 
   // Not a checkpoint at all.
-  {
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    out << "definitely not a checkpoint";
-  }
-  st = engine_.ResumeOnline(kQuery, path_, opts).status();
-  EXPECT_EQ(st.code(), StatusCode::kIoError);
+  EXPECT_EQ(resume_from("definitely not a checkpoint").code(),
+            StatusCode::kIoError);
 
   std::remove(path_.c_str());
-  st = engine_.ResumeOnline(kQuery, path_, opts).status();
-  EXPECT_EQ(st.code(), StatusCode::kIoError);
+  EXPECT_EQ(engine_.ResumeOnline(kQuery, path_, opts).status().code(),
+            StatusCode::kIoError);
 }
 
 TEST_F(CheckpointTest, CheckpointFailpointSurfacesButLeavesTheQueryRunnable) {
