@@ -74,7 +74,9 @@ int RunServer(gola::Engine& engine, int port) {
         "  GET  /statusz        live introspection incl. sessions\n"
         "  GET  /metrics        Prometheus text incl. per-session families\n"
         "  GET  /timez          convergence time series (JSON; ?session=)\n"
-        "  GET  /timez/stream   time-series samples as SSE\n";
+        "  GET  /timez/stream   time-series samples as SSE\n"
+        "  GET  /tracez         most recent trace spans (Chrome trace JSON)\n"
+        "  GET  /flightz        flight-recorder ring (text)\n";
     return r;
   });
   Status st = http.Start(port);

@@ -1,8 +1,9 @@
 // Live introspection demo: runs a multi-batch online query slowly enough
-// to watch from the outside. With GOLA_HTTP_PORT set, the embedded server
-// exposes /metrics, /statusz, /tracez and /flightz while batches stream;
-// the convergence recorder writes one JSONL record per update that
-// tools/plot_convergence.py turns into a Figure-3-style plot.
+// to watch from the outside. With GOLA_HTTP_PORT set, this program starts
+// an embedded server with the introspection routes (/metrics, /statusz,
+// /timez, /tracez, /flightz) while batches stream; the convergence JSONL
+// gets one row per update that tools/plot_convergence.py turns into a
+// Figure-3-style plot.
 //
 //   GOLA_HTTP_PORT=8080 ./live_monitor &
 //   curl -s localhost:8080/statusz | python3 -m json.tool
@@ -51,8 +52,6 @@ int main() {
   GolaOptions opts;
   opts.num_batches = batches;
   opts.bootstrap_replicates = 80;
-  // http_port stays -1: the controller consults GOLA_HTTP_PORT itself, so
-  // this binary needs no flag parsing to become scrape-able.
   const char* conv = std::getenv("GOLA_CONVERGENCE_PATH");
   opts.convergence_path = conv ? conv : "live_monitor.convergence.jsonl";
 
@@ -75,8 +74,13 @@ int main() {
                 (*online)->batches_processed(), (*online)->total_batches());
   }
 
-  if (obs::HttpServer* server = obs::IntrospectionServer()) {
-    std::printf("introspection: http://127.0.0.1:%d/statusz\n", server->port());
+  // GOLA_HTTP_PORT (0 = ephemeral) makes this binary scrape-able without
+  // flag parsing.
+  obs::HttpServer server;
+  if (const char* port = std::getenv("GOLA_HTTP_PORT")) {
+    obs::AttachIntrospectionRoutes(&server);
+    GOLA_CHECK_OK(server.Start(std::atoi(port)));
+    std::printf("introspection: http://127.0.0.1:%d/statusz\n", server.port());
   } else {
     std::printf("introspection server off (set GOLA_HTTP_PORT to enable)\n");
   }

@@ -73,4 +73,25 @@ bool EqualsIgnoreCase(std::string_view s, std::string_view keyword) {
   return true;
 }
 
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += Format("\\u%04x", static_cast<unsigned char>(c));
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
 }  // namespace gola

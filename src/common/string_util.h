@@ -28,6 +28,11 @@ std::string Format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 /// True if `s` equals `keyword` ignoring ASCII case.
 bool EqualsIgnoreCase(std::string_view s, std::string_view keyword);
 
+/// Escapes `s` for use inside a JSON string literal (quotes not added):
+/// `"` and `\` are backslash-escaped, \n \r \t get their short forms and
+/// every other control character becomes \u00XX.
+std::string JsonEscape(std::string_view s);
+
 }  // namespace gola
 
 #endif  // GOLA_COMMON_STRING_UTIL_H_

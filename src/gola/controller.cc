@@ -6,8 +6,8 @@
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "gola/update_json.h"
 #include "obs/flight_recorder.h"
-#include "obs/http_server.h"
 #include "obs/metrics.h"
 #include "obs/query_registry.h"
 #include "obs/trace.h"
@@ -135,21 +135,6 @@ Status OnlineQueryExecutor::Prepare(
   if (!options_.trace_path.empty()) obs::Tracer::Global().Enable();
 
   // --- live introspection wiring (observes only; never changes results) --
-  // HTTP server: option wins, GOLA_HTTP_PORT env is the no-recompile path.
-  int http_port = options_.http_port;
-  if (http_port < 0) {
-    if (const char* env = std::getenv("GOLA_HTTP_PORT")) {
-      http_port = std::atoi(env);
-    }
-  }
-  if (http_port >= 0) {
-    auto server = obs::EnsureIntrospectionServer(http_port);
-    if (!server.ok()) {
-      GOLA_LOG(Warn) << "introspection server not started: "
-                     << server.status().ToString();
-    }
-  }
-
   registry_id_ = obs::QueryRegistry::Global().Register(
       Format("%s (%d blocks, %d batches)", streamed.c_str(),
              static_cast<int>(query_.blocks.size()), options_.num_batches));
@@ -193,31 +178,23 @@ Status OnlineQueryExecutor::Prepare(
     // headline scalar) and the top-ranked per-group RSDs. Rank labels are
     // part of the series name — same inline-label idiom as the SLO
     // histograms; /timez JSON-escapes names, so the quotes are safe.
-    if (options_.group_top_k > 0) {
-      ts_half_width_worst_ = ts.Register("gola_query_ci_halfwidth_worst", ts_labels);
-      for (int r = 0; r < kGroupRsdRanks; ++r) {
-        ts_group_rsd_[r] =
-            ts.Register(Format("gola_group_rsd{rank=\"%d\"}", r + 1), ts_labels);
-      }
+    ts_half_width_worst_ = ts.Register("gola_query_ci_halfwidth_worst", ts_labels);
+    for (int r = 0; r < kGroupRsdRanks; ++r) {
+      ts_group_rsd_[r] =
+          ts.Register(Format("gola_group_rsd{rank=\"%d\"}", r + 1), ts_labels);
     }
-  }
-  // Per-group telemetry and the convergence watchdog ride the same
-  // MetricsEnabled() gate as every other recording path, so the CI overhead
-  // guard's GOLA_METRICS A/B measures their cost too.
-  if (obs::MetricsEnabled() && options_.group_top_k > 0) {
-    group_tracker_ =
-        std::make_unique<obs::GroupTelemetryTracker>(options_.group_top_k);
-  }
-  if (obs::MetricsEnabled() && options_.watchdog.enabled) {
-    watchdog_ = std::make_unique<obs::ConvergenceWatchdog>(options_.watchdog);
+    // Per-group telemetry and the convergence watchdog ride the same
+    // MetricsEnabled() gate as every other recording path, so the CI
+    // overhead guard's GOLA_METRICS A/B measures their cost too.
+    group_tracker_ = std::make_unique<obs::GroupTelemetryTracker>();
+    watchdog_ = std::make_unique<obs::ConvergenceWatchdog>();
   }
 
   if (!options_.convergence_path.empty()) {
-    convergence_ =
-        std::make_unique<obs::ConvergenceRecorder>(options_.convergence_path);
-    if (!convergence_->status().ok()) {
-      GOLA_LOG(Warn) << "convergence recorder disabled: "
-                     << convergence_->status().ToString();
+    convergence_ = std::make_unique<obs::JsonlWriter>();
+    if (!convergence_->Open(options_.convergence_path, /*truncate=*/true)) {
+      GOLA_LOG(Warn) << "convergence output disabled: cannot open "
+                     << options_.convergence_path;
       convergence_.reset();
     }
   }
@@ -253,7 +230,6 @@ Result<OnlineUpdate> OnlineQueryExecutor::Step() {
 
   const int i = next_batch_;  // 0-based
   OnlineUpdate update;
-  bool recomputed = false;
   {
     obs::TraceSpan batch_span("batch", "index", i);
     obs::FlightRecorder::Global().Note("batch_begin", nullptr, i);
@@ -283,7 +259,6 @@ Result<OnlineUpdate> OnlineQueryExecutor::Step() {
         // Range failure (§3.2): recompute the whole query over D_i with the
         // current variation ranges, block by block in dependency order.
         ++recomputes_;
-        recomputed = true;
         update.stats.failure_cause = RangeFailureName(violated);
         obs::FlightRecorder::Global().Note("range_failure",
                                            RangeFailureName(violated), i);
@@ -378,6 +353,21 @@ Result<OnlineUpdate> OnlineQueryExecutor::Step() {
     prev_rows_uncertain_ = rows_uncertain;
   }
 
+  // The headline cell is extracted once per update, from the root emission
+  // — populated even when materialize_results skipped the result copy.
+  const Table& root = blocks_.back()->root_emission().result;
+  update.headline = ExtractHeadline(root);
+  update.result_rows = root.num_rows();
+
+  Observe(&update);
+  return update;
+}
+
+void OnlineQueryExecutor::Observe(OnlineUpdate* update) {
+  const OnlineUpdate& u = *update;
+
+  // 1. Metrics: global families, plus the per-session labeled ones when the
+  // session layer set a session_id.
   if (obs::MetricsEnabled()) {
     auto& reg = obs::MetricsRegistry::Global();
     static obs::Counter* batches_total = reg.GetCounter("gola_online_batches_total");
@@ -389,49 +379,37 @@ Result<OnlineUpdate> OnlineQueryExecutor::Step() {
     static obs::Gauge* uncertain_groups =
         reg.GetGauge("gola_online_uncertain_groups");
     batches_total->Add(1);
-    if (recomputed) recomputes_total->Add(1);
-    batch_us->Record(static_cast<int64_t>(update.batch_seconds * 1e6));
-    uncertain_tuples->Set(update.uncertain_tuples);
-    uncertain_groups->Set(update.uncertain_groups);
-
-    // Per-session labeled families (only wired up when the session layer
-    // set a session_id).
+    if (u.stats.failure_cause != nullptr) recomputes_total->Add(1);
+    batch_us->Record(static_cast<int64_t>(u.batch_seconds * 1e6));
+    uncertain_tuples->Set(u.uncertain_tuples);
+    uncertain_groups->Set(u.uncertain_groups);
     if (batches_labeled_ != nullptr) {
       batches_labeled_->Add(1);
-      batch_us_labeled_->Record(static_cast<int64_t>(update.batch_seconds * 1e6));
+      batch_us_labeled_->Record(static_cast<int64_t>(u.batch_seconds * 1e6));
       const double phase_seconds[6] = {
-          update.stats.scan_seconds,     update.stats.envelope_check_seconds,
-          update.stats.delta_exec_seconds, update.stats.emit_seconds,
-          update.stats.rebuild_seconds,  update.stats.materialize_seconds};
+          u.stats.scan_seconds,       u.stats.envelope_check_seconds,
+          u.stats.delta_exec_seconds, u.stats.emit_seconds,
+          u.stats.rebuild_seconds,    u.stats.materialize_seconds};
       for (int p = 0; p < 6; ++p) {
         phase_us_labeled_[p]->Record(static_cast<int64_t>(phase_seconds[p] * 1e6));
       }
     }
   }
 
-  // Headline cell drives the convergence time series, the accuracy-SLO
-  // tracker and (via RecordConvergence) the convergence JSONL — extracted
-  // once from the root emission, which is populated even when
-  // materialize_results is off.
-  const HeadlineCell headline =
-      ExtractHeadline(blocks_.back()->root_emission().result);
-
-  // Per-group convergence telemetry: fold every cell's companions into the
-  // bounded top-K summary; grouped queries converge on their worst group,
-  // so the worst cell's CI half-width — not the headline scalar — is the
-  // width signal the watchdog and /timez watch.
+  // 2. Group tracker and watchdog. Grouped queries converge on their worst
+  // group, so the worst cell's CI half-width — not the headline scalar — is
+  // the width signal the watchdog and /timez watch.
   if (group_tracker_ != nullptr) {
-    update.groups = group_tracker_->Observe(
+    update->groups = group_tracker_->Observe(
         ExtractGroupCells(blocks_.back()->root_emission().result));
   }
   const double worst_half_width =
-      std::max(headline.half_width(), update.groups.worst_half_width);
+      std::max(u.headline.half_width(), u.groups.worst_half_width);
   if (watchdog_ != nullptr) {
-    update.alerts =
-        watchdog_->Observe(update.batch_index, headline.has_rsd(),
-                           update.max_rsd, worst_half_width,
-                           update.uncertain_tuples);
-    for (const obs::WatchdogAlert& a : update.alerts) {
+    update->alerts = watchdog_->Observe(u.batch_index, u.headline.has_rsd(),
+                                        u.max_rsd, worst_half_width,
+                                        u.uncertain_tuples);
+    for (const obs::WatchdogAlert& a : u.alerts) {
       obs::FlightRecorder::Global().Note("watchdog", a.kind.c_str(),
                                          a.batch_index);
       obs::MetricsRegistry::Global()
@@ -447,29 +425,28 @@ Result<OnlineUpdate> OnlineQueryExecutor::Step() {
     }
   }
 
+  // 3. /timez series.
   if (obs::MetricsEnabled()) {
     auto& ts = obs::TimeSeriesStore::Global();
-    ts.Append(ts_max_rsd_, update.max_rsd);
-    ts.Append(ts_half_width_, headline.half_width());
-    ts.Append(ts_fraction_, update.fraction_processed);
-    ts.Append(ts_uncertain_, static_cast<double>(update.uncertain_tuples));
-    if (group_tracker_ != nullptr) {
-      ts.Append(ts_half_width_worst_, worst_half_width);
-      // Ranked worst-group RSDs; a rank with no measurable cell this update
-      // simply has no sample (absent ≠ 0).
-      for (int r = 0; r < kGroupRsdRanks; ++r) {
-        if (r >= static_cast<int>(update.groups.top.size())) break;
-        const obs::GroupCell& cell = update.groups.top[r];
-        if (cell.has_rsd) ts.Append(ts_group_rsd_[r], cell.rsd);
-      }
+    ts.Append(ts_max_rsd_, u.max_rsd);
+    ts.Append(ts_half_width_, u.headline.half_width());
+    ts.Append(ts_fraction_, u.fraction_processed);
+    ts.Append(ts_uncertain_, static_cast<double>(u.uncertain_tuples));
+    ts.Append(ts_half_width_worst_, worst_half_width);
+    // Ranked worst-group RSDs; a rank with no measurable cell this update
+    // simply has no sample (absent ≠ 0).
+    for (int r = 0; r < kGroupRsdRanks; ++r) {
+      if (r >= static_cast<int>(u.groups.top.size())) break;
+      const obs::GroupCell& cell = u.groups.top[r];
+      if (cell.has_rsd) ts.Append(ts_group_rsd_[r], cell.rsd);
     }
   }
 
-  // SLO crossings are tracked unconditionally (the wide-event query log
+  // 4. SLO crossings are tracked unconditionally (the wide-event query log
   // consumes them even with metrics off); only the histogram export is
   // gated.
-  const std::vector<size_t> newly_met = slo_.Observe(
-      update.elapsed_seconds, update.max_rsd, headline.has_estimate);
+  const std::vector<size_t> newly_met =
+      slo_.Observe(u.elapsed_seconds, u.max_rsd, u.headline.has_estimate);
   if (obs::MetricsEnabled()) {
     for (size_t idx : newly_met) {
       const obs::SloCrossing& c = slo_.crossings()[idx];
@@ -479,11 +456,25 @@ Result<OnlineUpdate> OnlineQueryExecutor::Step() {
           ->Record(static_cast<int64_t>(c.seconds * 1e6));
     }
   }
+  update->slo = slo_.crossings();
 
-  PublishStatus(update);
-  RecordConvergence(update, headline);
+  // 5. The /statusz entry and 6. the convergence row: one rendering of the
+  // shared fields, each view appending its own.
+  const std::string shared = UpdateJson(u);
+  std::string entry = shared + Format(", \"done\": %s, \"warnings\": [",
+                                     done() ? "true" : "false");
+  for (size_t w = 0; w < warnings_.size(); ++w) {
+    entry += (w ? ", \"" : "\"") + JsonEscape(warnings_[w]) + "\"";
+  }
+  entry += "]";
+  obs::QueryRegistry::Global().Update(registry_id_, std::move(entry));
+  if (convergence_ != nullptr) {
+    convergence_->Append(Format("{\"schema\": %d, \"kind\": \"update\", ",
+                                obs::kJsonlSchema) +
+                         shared + "}");
+  }
 
-  // Last batch drained: flush the query timeline for Perfetto (§ tracing).
+  // 7. Last batch drained: flush the query timeline for Perfetto.
   if (done() && !options_.trace_path.empty() && !trace_written_) {
     trace_written_ = true;
     Status st = obs::Tracer::Global().WriteJson(options_.trace_path);
@@ -492,7 +483,6 @@ Result<OnlineUpdate> OnlineQueryExecutor::Step() {
                      << st.ToString();
     }
   }
-  return update;
 }
 
 void OnlineQueryExecutor::ApplyDeadlinePressure(double wall_seconds) {
@@ -530,24 +520,6 @@ void OnlineQueryExecutor::ApplyDegradationEffects() {
   if (degradation_ >= Degradation::kStoppedEarly) {
     stopped_early_ = true;
   }
-}
-
-void OnlineQueryExecutor::PublishStatus(const OnlineUpdate& update) {
-  obs::QueryStatus status;
-  status.batch_index = update.batch_index;
-  status.total_batches = update.total_batches;
-  status.fraction_processed = update.fraction_processed;
-  status.max_rsd = update.max_rsd;
-  status.uncertain_tuples = update.uncertain_tuples;
-  status.uncertain_groups = update.uncertain_groups;
-  status.recomputes = update.recomputes_so_far;
-  status.batch_seconds = update.batch_seconds;
-  status.elapsed_seconds = update.elapsed_seconds;
-  status.done = done();
-  status.last_stats = update.stats;
-  status.groups = update.groups;
-  status.warnings = warnings_;
-  obs::QueryRegistry::Global().Update(registry_id_, status);
 }
 
 HeadlineCell ExtractHeadline(const Table& result) {
@@ -660,31 +632,6 @@ std::vector<obs::GroupCell> ExtractGroupCells(const Table& result) {
     }
   }
   return cells;
-}
-
-void OnlineQueryExecutor::RecordConvergence(const OnlineUpdate& update,
-                                            const HeadlineCell& headline) {
-  if (!convergence_) return;
-  obs::ConvergenceRecord rec;
-  rec.batch_index = update.batch_index;
-  rec.total_batches = update.total_batches;
-  rec.fraction_processed = update.fraction_processed;
-  rec.max_rsd = update.max_rsd;
-  rec.uncertain_tuples = update.uncertain_tuples;
-  rec.uncertain_groups = update.uncertain_groups;
-  rec.recomputes = update.recomputes_so_far;
-  rec.batch_seconds = update.batch_seconds;
-  rec.elapsed_seconds = update.elapsed_seconds;
-  rec.stats = update.stats;
-  rec.result_rows = blocks_.back()->root_emission().result.num_rows();
-  rec.has_estimate = headline.has_estimate;
-  rec.estimate = headline.estimate;
-  rec.ci_lo = headline.ci_lo;
-  rec.ci_hi = headline.ci_hi;
-  rec.has_rsd = headline.has_rsd();
-  if (headline.has_rsd()) rec.rsd = headline.rsd;
-  rec.groups = update.groups;
-  convergence_->Append(rec);
 }
 
 Result<OnlineUpdate> OnlineQueryExecutor::Run(

@@ -12,8 +12,8 @@
 
 #include "common/stopwatch.h"
 #include "gola/block_executor.h"
-#include "obs/convergence.h"
 #include "obs/group_telemetry.h"
+#include "obs/jsonl.h"
 #include "obs/query_stats.h"
 #include "obs/slo.h"
 #include "obs/timeseries.h"
@@ -74,7 +74,10 @@ HeadlineCell ExtractHeadline(const Table& result);
 /// RSDs propagate as absent, mirroring ExtractHeadline.
 std::vector<obs::GroupCell> ExtractGroupCells(const Table& result);
 
-/// The running answer after one mini-batch — what a dashboard would render.
+/// The running answer after one mini-batch — what a dashboard would render,
+/// and the single per-batch event: every consumer (metrics, telemetry,
+/// /statusz, the convergence JSONL, the session layer, SSE) reads this
+/// struct and nothing else. gola/update_json.h renders its shared fields.
 struct OnlineUpdate {
   int batch_index = 0;  // 1-based
   int total_batches = 0;
@@ -87,6 +90,11 @@ struct OnlineUpdate {
   Table result;
   /// Worst relative standard deviation across aggregate cells.
   double max_rsd = 0;
+  /// The headline cell and row count of the root emission — extracted once
+  /// per update, and filled even when materialize_results skipped the
+  /// `result` copy.
+  HeadlineCell headline;
+  int64_t result_rows = 0;
 
   // Progress / cost introspection (drives the §5 experiments).
   int64_t uncertain_tuples = 0;  // Σ |U_i| over all blocks
@@ -108,11 +116,13 @@ struct OnlineUpdate {
   obs::QueryStats stats;
 
   /// Bounded per-group convergence summary of this update (top-K worst
-  /// cells by RSD, churn counts); empty when group_top_k is 0, telemetry
-  /// is disabled, or the result carries no aggregate cells.
+  /// cells by RSD, churn counts); empty when metrics are disabled or the
+  /// result carries no aggregate cells.
   obs::GroupConvergenceSummary groups;
   /// Watchdog alerts that fired on this update (almost always empty).
   std::vector<obs::WatchdogAlert> alerts;
+  /// Accuracy-SLO crossings so far (wall time to RSD ≤ 5/2/1%; -1 unmet).
+  std::vector<obs::SloCrossing> slo;
 };
 
 class OnlineQueryExecutor {
@@ -150,11 +160,6 @@ class OnlineQueryExecutor {
   /// True when this executor attached to a shared mini-batch scan instead
   /// of building its own partitioner.
   bool scan_shared() const { return scan_shared_; }
-  /// Accuracy-SLO crossings recorded so far (wall time to RSD ≤ 5/2/1%).
-  /// The session layer harvests these for /sessions JSON and the
-  /// wide-event query log before the executor is torn down.
-  const obs::AccuracySloTracker& slo() const { return slo_; }
-
   /// Processes the next mini-batch and returns the refined answer.
   Result<OnlineUpdate> Step();
 
@@ -201,13 +206,13 @@ class OnlineQueryExecutor {
   /// ResumeFrom so a restored query degrades exactly like the original.
   void ApplyDegradationEffects();
 
-  /// Publishes `update` into the process-wide query registry (/statusz).
-  void PublishStatus(const OnlineUpdate& update);
-  /// Appends `update` to the convergence JSONL recorder. `headline` is the
-  /// cell extracted from the root emission (so recording works even when
-  /// materialize_results is off).
-  void RecordConvergence(const OnlineUpdate& update,
-                         const HeadlineCell& headline);
+  /// Hands the finished update to every consumer, in this fixed order:
+  /// global and per-session metrics; group tracker and watchdog (which
+  /// fill update->groups and update->alerts); /timez series; SLO tracker
+  /// and its histograms (fills update->slo); the /statusz registry entry;
+  /// the convergence JSONL row; the trace flush after the last batch.
+  /// Observes only — never changes the answer.
+  void Observe(OnlineUpdate* update);
 
   const Catalog* catalog_;
   CompiledQuery query_;
@@ -239,10 +244,10 @@ class OnlineQueryExecutor {
   int64_t prev_rows_uncertain_ = 0;
   bool trace_written_ = false;
 
-  // Live introspection (PR 3): /statusz registration, convergence JSONL,
-  // and the flight-recorder dump destination for range-failure rebuilds.
+  // Live introspection: /statusz registration, convergence JSONL, and the
+  // flight-recorder dump destination for range-failure rebuilds.
   uint64_t registry_id_ = 0;
-  std::unique_ptr<obs::ConvergenceRecorder> convergence_;
+  std::unique_ptr<obs::JsonlWriter> convergence_;
   std::string flight_path_;
 
   // Per-session telemetry (DESIGN.md §13). Labeled handles exist only when
@@ -263,9 +268,10 @@ class OnlineQueryExecutor {
       obs::TimeSeriesStore::kInvalidSeries;
 
   // Estimator-quality observability (DESIGN.md §14): per-group convergence
-  // tracker + watchdog, their /timez series (worst-cell CI half-width and
-  // the top-`kGroupRsdRanks` worst per-group RSDs), and the bounded warning
-  // list /statusz renders. Null when disabled.
+  // tracker (top-8 worst cells) + watchdog (default thresholds), their
+  // /timez series (worst-cell CI half-width and the top-`kGroupRsdRanks`
+  // worst per-group RSDs), and the bounded warning list /statusz renders.
+  // Null when metrics are disabled.
   static constexpr int kGroupRsdRanks = 4;
   std::unique_ptr<obs::GroupTelemetryTracker> group_tracker_;
   std::unique_ptr<obs::ConvergenceWatchdog> watchdog_;

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 
 #include "common/logging.h"
@@ -87,6 +88,10 @@ TablePtr Engine::MaybeSegmentBacked(const std::string& name,
   Status st = WriteSegmentFile(*table, path);
   if (st.ok()) {
     auto opened = OpenSegmentTable(path);
+    // The opener maps the whole file and keeps its descriptor, so the name
+    // is not needed past this point: unlink it either way, and the space
+    // goes back when the table's last reference is dropped.
+    std::remove(path.c_str());
     if (opened.ok()) return *opened;
     st = opened.status();
   }

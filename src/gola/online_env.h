@@ -14,7 +14,6 @@
 #include "expr/evaluator.h"
 #include "gola/uncertain.h"
 #include "obs/metrics.h"
-#include "obs/watchdog.h"
 
 namespace gola {
 
@@ -54,16 +53,9 @@ struct GolaOptions {
   /// whole online run to this path once the last mini-batch drains. Spans
   /// never change results — tracing only observes.
   std::string trace_path;
-  /// TCP port for the process-wide live-introspection HTTP server
-  /// (GET /metrics, /statusz, /tracez, /flightz on loopback). -1 (default)
-  /// consults the GOLA_HTTP_PORT env var and stays off when that is unset
-  /// too; 0 binds an ephemeral port (obs::IntrospectionServer()->port()
-  /// reports it). The first query to ask starts the server; later ports
-  /// are ignored — one server per process.
-  int http_port = -1;
-  /// When non-empty, every OnlineUpdate appends one JSONL record —
-  /// estimate, CI bounds, rsd, |U_i|, per-phase seconds — to this path:
-  /// the §5/Fig-3 convergence trajectory as a reusable artifact
+  /// When non-empty, every OnlineUpdate appends one `"kind": "update"`
+  /// JSONL row (obs/jsonl.h schema; the fields of gola::UpdateJson) to this
+  /// path: the §5/Fig-3 convergence trajectory as a reusable artifact
   /// (tools/plot_convergence.py turns it into CSV/SVG). Truncated at
   /// query start; one query per file.
   std::string convergence_path;
@@ -105,18 +97,6 @@ struct GolaOptions {
   /// (`gola_online_batch_us{session_id=...}`, per-phase histograms) on top
   /// of the global unlabeled ones. Leave empty for zero extra cost.
   obs::MetricLabels metrics_labels;
-  /// Per-group convergence telemetry (DESIGN.md §14): every update, the
-  /// per-cell `_rsd`/`_lo`/`_hi` companions are folded into a bounded
-  /// top-K-worst-cells summary plus group-churn counts, exported through
-  /// /timez (`gola_group_rsd{rank=...}`), /statusz, the convergence JSONL
-  /// and the wide-event query log. K bounds the export, not the scan.
-  /// 0 disables per-group extraction entirely.
-  int group_top_k = 8;
-  /// Convergence-watchdog thresholds (stalled RSD, CI-width blowups,
-  /// unbounded uncertain-set growth); see obs/watchdog.h. Alerts surface as
-  /// `gola_watchdog_alerts_total{kind=...}` counters, /statusz warnings and
-  /// query-log lifecycle events. watchdog.enabled = false turns it off.
-  obs::WatchdogOptions watchdog;
 };
 
 /// Per-batch broadcast of a scalar subquery: point estimate plus the core

@@ -12,22 +12,6 @@ namespace obs {
 
 namespace {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 void AppendBucket(std::string& out, const CoverageBucket& b) {
   out += Format(
       "{\"key\": \"%s\", \"covered\": %lld, \"total\": %lld, \"rate\": %.6g}",

@@ -8,26 +8,6 @@
 namespace gola {
 namespace obs {
 
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 bool WorseCell(const GroupCell& a, const GroupCell& b) {
   // Absent RSD is "worse than anything measurable".
   if (a.has_rsd != b.has_rsd) return !a.has_rsd;

@@ -15,7 +15,6 @@
 #include <chrono>
 #include <thread>
 
-#include "common/logging.h"
 #include "common/string_util.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -452,7 +451,7 @@ void HttpServer::HandleConnection(int fd) {
   SendResponse(fd, {404, "text/plain; charset=utf-8", index});
 }
 
-// ------------------------------------------------------- /timez routes --
+// ------------------------------------------------ introspection routes --
 
 namespace {
 
@@ -467,16 +466,43 @@ std::string ParamStr(const HttpServer::Request& req, const std::string& key) {
   return it == req.params.end() ? "" : it->second;
 }
 
+HttpServer::Response Json(std::string body) {
+  return {200, "application/json", std::move(body)};
+}
+
 }  // namespace
 
-void AttachTimezRoutes(HttpServer* server) {
-  server->Route("/timez", [](const HttpServer::Request& req) {
+void AttachIntrospectionRoutes(HttpServer* server) {
+  server->Route("/", [] {
     HttpServer::Response r;
-    r.content_type = "application/json";
-    r.body = TimeSeriesStore::Global().ToJson(ParamStr(req, "name"),
-                                              ParamStr(req, "session"),
-                                              ParamInt64(req, "since_ms"));
+    r.body =
+        "gola live introspection\n"
+        "  /metrics        Prometheus text exposition\n"
+        "  /statusz        active online queries (JSON)\n"
+        "  /timez          in-process time series (JSON; ?name= ?session= "
+        "?since_ms=)\n"
+        "  /timez/stream   time-series samples as SSE\n"
+        "  /tracez         most recent trace spans (Chrome trace JSON)\n"
+        "  /flightz        flight-recorder ring (text)\n";
     return r;
+  });
+  server->Route("/metrics", [] {
+    return HttpServer::Response{200, "text/plain; version=0.0.4; charset=utf-8",
+                                MetricsRegistry::Global().RenderText()};
+  });
+  server->Route("/statusz",
+                [] { return Json(QueryRegistry::Global().StatuszJson()); });
+  server->Route("/tracez",
+                [] { return Json(Tracer::Global().RecentJson(256)); });
+  server->Route("/flightz", [] {
+    HttpServer::Response r;
+    r.body = FlightRecorder::Global().ToText();
+    return r;
+  });
+  server->Route("/timez", [](const HttpServer::Request& req) {
+    return Json(TimeSeriesStore::Global().ToJson(ParamStr(req, "name"),
+                                                 ParamStr(req, "session"),
+                                                 ParamInt64(req, "since_ms")));
   });
   // SSE: one `sample` event per sampling period carrying every sample that
   // arrived since the previous event (same JSON shape as /timez). The
@@ -503,86 +529,6 @@ void AttachTimezRoutes(HttpServer* server) {
           if (!writer.Write("event: sample\ndata: " + payload + "\n\n")) break;
         }
       });
-}
-
-// ------------------------------------------- process-wide introspection --
-
-namespace {
-
-std::mutex g_server_mu;
-HttpServer* g_server = nullptr;        // non-null once started successfully
-bool g_server_attempted = false;       // first Start outcome is sticky
-Status g_server_status = Status::OK();
-
-HttpServer* BuildIntrospectionServer() {
-  auto* server = new HttpServer();
-  server->Route("/", [] {
-    HttpServer::Response r;
-    r.body =
-        "gola live introspection\n"
-        "  /metrics        Prometheus text exposition\n"
-        "  /statusz        active online queries (JSON)\n"
-        "  /timez          in-process time series (JSON; ?name= ?session= "
-        "?since_ms=)\n"
-        "  /timez/stream   time-series samples as SSE\n"
-        "  /tracez         most recent trace spans (Chrome trace JSON)\n"
-        "  /flightz        flight-recorder ring (text)\n";
-    return r;
-  });
-  server->Route("/metrics", [] {
-    HttpServer::Response r;
-    r.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    r.body = MetricsRegistry::Global().RenderText();
-    return r;
-  });
-  server->Route("/statusz", [] {
-    HttpServer::Response r;
-    r.content_type = "application/json";
-    r.body = QueryRegistry::Global().StatuszJson();
-    return r;
-  });
-  server->Route("/tracez", [] {
-    HttpServer::Response r;
-    r.content_type = "application/json";
-    r.body = Tracer::Global().RecentJson(256);
-    return r;
-  });
-  server->Route("/flightz", [] {
-    HttpServer::Response r;
-    r.body = FlightRecorder::Global().ToText();
-    return r;
-  });
-  AttachTimezRoutes(server);
-  return server;
-}
-
-}  // namespace
-
-Result<HttpServer*> EnsureIntrospectionServer(int port) {
-  std::lock_guard<std::mutex> lock(g_server_mu);
-  if (g_server_attempted) {
-    if (g_server != nullptr) return g_server;
-    return g_server_status;
-  }
-  g_server_attempted = true;
-  HttpServer* server = BuildIntrospectionServer();
-  Status st = server->Start(port);
-  if (!st.ok()) {
-    delete server;
-    g_server_status = st;
-    return st;
-  }
-  g_server = server;
-  FlightRecorder::Global().Note("http_server_started", nullptr,
-                                g_server->port());
-  GOLA_LOG(Info) << "live introspection server on http://127.0.0.1:"
-                 << g_server->port() << " (/metrics /statusz /tracez /flightz)";
-  return g_server;
-}
-
-HttpServer* IntrospectionServer() {
-  std::lock_guard<std::mutex> lock(g_server_mu);
-  return g_server;
 }
 
 }  // namespace obs

@@ -4,16 +4,20 @@
 // that a user *watches* an answer converge, and that must work in any
 // build.
 //
-// The process-wide instance (EnsureIntrospectionServer) serves:
-//   GET  /          route index
-//   GET  /metrics   Prometheus text exposition (MetricsRegistry::Global)
-//   GET  /statusz   JSON: active queries — batch index, fraction_processed,
-//                   max_rsd, uncertain-tuple counts, per-phase QueryStats,
-//                   recompute count (QueryRegistry::Global); when a
-//                   QueryService is attached, also every live session
-//   GET  /tracez    Chrome-trace JSON of the most recent spans
-//   GET  /flightz   text dump of the flight recorder's recent-event ring
-// and, with a QueryService attached, POST /query + GET /sessions.
+// The library starts no server of its own: an application creates one
+// HttpServer, calls AttachIntrospectionRoutes for
+//   GET  /              route index
+//   GET  /metrics       Prometheus text exposition (MetricsRegistry::Global)
+//   GET  /statusz       JSON: active and recent queries, each entry the
+//                       gola::UpdateJson fields of its latest update
+//                       (QueryRegistry::Global)
+//   GET  /tracez        Chrome-trace JSON of the most recent spans
+//   GET  /flightz       text dump of the flight recorder's recent-event ring
+//   GET  /timez         in-process time series (JSON)
+//   GET  /timez/stream  time-series samples as SSE
+// and, to serve queries too, QueryService::AttachTo — which attaches these
+// routes itself and adds POST /query, GET /sessions and a /statusz with
+// the session layer spliced in. One port, one implementation per route.
 //
 // Concurrency: each accepted connection is handled on its own thread, so a
 // long-lived SSE stream (a dashboard client watching updates) never blocks
@@ -156,15 +160,9 @@ class HttpServer {
   int live_connections_ = 0;
 };
 
-/// Starts the process-wide introspection server on `port` (0 → ephemeral)
-/// with the /metrics, /statusz, /tracez and /flightz routes. The first
-/// call wins; later calls return the running server regardless of `port`.
-/// Returns the server, or the bind error from the first attempt.
-Result<HttpServer*> EnsureIntrospectionServer(int port);
-
-/// The running process-wide server, or null when never started (or the
-/// first Start failed).
-HttpServer* IntrospectionServer();
+/// Registers the introspection routes listed at the top of this file on
+/// `server`. Call before or after Start.
+void AttachIntrospectionRoutes(HttpServer* server);
 
 }  // namespace obs
 }  // namespace gola

@@ -5,85 +5,17 @@
 namespace gola {
 namespace obs {
 
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += Format("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-void AppendQueryJson(const QueryStatus& q, std::string* out) {
-  *out += Format(
-      "{\"query_id\": %llu, \"label\": \"%s\", \"batch_index\": %d, "
-      "\"total_batches\": %d, \"fraction_processed\": %.6g, "
-      "\"max_rsd\": %.6g, \"uncertain_tuples\": %lld, "
-      "\"uncertain_groups\": %lld, \"recomputes\": %d, "
-      "\"batch_seconds\": %.6g, \"elapsed_seconds\": %.6g, \"done\": %s",
-      static_cast<unsigned long long>(q.query_id), JsonEscape(q.label).c_str(),
-      q.batch_index, q.total_batches, q.fraction_processed, q.max_rsd,
-      static_cast<long long>(q.uncertain_tuples),
-      static_cast<long long>(q.uncertain_groups), q.recomputes, q.batch_seconds,
-      q.elapsed_seconds, q.done ? "true" : "false");
-  *out += ", \"groups\": " + q.groups.ToJson();
-  *out += ", \"warnings\": [";
-  for (size_t i = 0; i < q.warnings.size(); ++i) {
-    if (i) *out += ", ";
-    *out += "\"" + JsonEscape(q.warnings[i]) + "\"";
-  }
-  *out += "]";
-  const QueryStats& s = q.last_stats;
-  *out += Format(
-      ", \"last_batch\": {\"scan_seconds\": %.6g, "
-      "\"envelope_check_seconds\": %.6g, "
-      "\"delta_exec_seconds\": %.6g, \"emit_seconds\": %.6g, "
-      "\"rebuild_seconds\": %.6g, \"materialize_seconds\": %.6g, "
-      "\"morsels\": %lld, \"rows_in\": %lld, \"rows_folded\": %lld, "
-      "\"rows_uncertain\": %lld, \"failure_cause\": %s%s%s}}",
-      s.scan_seconds, s.envelope_check_seconds, s.delta_exec_seconds,
-      s.emit_seconds, s.rebuild_seconds, s.materialize_seconds,
-      static_cast<long long>(s.morsels), static_cast<long long>(s.rows_in),
-      static_cast<long long>(s.rows_folded),
-      static_cast<long long>(s.rows_uncertain),
-      s.failure_cause == nullptr ? "null" : "\"",
-      s.failure_cause == nullptr ? "" : JsonEscape(s.failure_cause).c_str(),
-      s.failure_cause == nullptr ? "" : "\"");
-}
-
-}  // namespace
-
 uint64_t QueryRegistry::Register(std::string label) {
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t id = next_id_++;
-  QueryStatus status;
-  status.query_id = id;
-  status.label = std::move(label);
-  active_.emplace(id, std::move(status));
+  active_.emplace(id, Entry{id, std::move(label), {}});
   return id;
 }
 
-void QueryRegistry::Update(uint64_t id, const QueryStatus& status) {
+void QueryRegistry::Update(uint64_t id, std::string fields) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = active_.find(id);
-  if (it == active_.end()) return;
-  std::string label = std::move(it->second.label);
-  it->second = status;
-  it->second.query_id = id;
-  it->second.label = std::move(label);
+  if (it != active_.end()) it->second.fields = std::move(fields);
 }
 
 void QueryRegistry::Deregister(uint64_t id) {
@@ -95,38 +27,30 @@ void QueryRegistry::Deregister(uint64_t id) {
   active_.erase(it);
 }
 
-std::vector<QueryStatus> QueryRegistry::ActiveQueries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<QueryStatus> out;
-  out.reserve(active_.size());
-  for (const auto& [id, status] : active_) out.push_back(status);
-  return out;
-}
-
-std::vector<QueryStatus> QueryRegistry::RecentQueries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return {recent_.begin(), recent_.end()};
-}
-
-int64_t QueryRegistry::queries_started() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int64_t>(next_id_ - 1);
+void QueryRegistry::AppendEntry(const Entry& e, std::string* out) {
+  *out += Format("{\"query_id\": %llu, \"label\": \"%s\"",
+                 static_cast<unsigned long long>(e.id),
+                 JsonEscape(e.label).c_str());
+  if (!e.fields.empty()) *out += ", " + e.fields;
+  *out += "}";
 }
 
 std::string QueryRegistry::StatuszJson() const {
-  std::vector<QueryStatus> active = ActiveQueries();
-  std::vector<QueryStatus> recent = RecentQueries();
+  std::lock_guard<std::mutex> lock(mu_);
   std::string out = "{\"queries_started_total\": " +
-                    std::to_string(queries_started()) +
-                    ",\n\"active_queries\": [";
-  for (size_t i = 0; i < active.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    AppendQueryJson(active[i], &out);
+                    std::to_string(next_id_ - 1) + ",\n\"active_queries\": [";
+  const char* sep = "\n";
+  for (const auto& [id, entry] : active_) {
+    out += sep;
+    sep = ",\n";
+    AppendEntry(entry, &out);
   }
   out += "\n],\n\"recent_queries\": [";
-  for (size_t i = 0; i < recent.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    AppendQueryJson(recent[i], &out);
+  sep = "\n";
+  for (const Entry& entry : recent_) {
+    out += sep;
+    sep = ",\n";
+    AppendEntry(entry, &out);
   }
   out += "\n]}\n";
   return out;

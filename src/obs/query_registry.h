@@ -1,7 +1,7 @@
 // Process-wide registry of active (and recently finished) online queries —
 // the data behind GET /statusz. The controller registers each executor at
-// Prepare, pushes a status snapshot after every Step, and deregisters on
-// destruction; the HTTP server only ever reads complete snapshots, so a
+// Prepare, publishes its rendered entry after every Step, and deregisters
+// on destruction; the HTTP server only ever reads complete entries, so a
 // live query is never observed mid-batch.
 #ifndef GOLA_OBS_QUERY_REGISTRY_H_
 #define GOLA_OBS_QUERY_REGISTRY_H_
@@ -11,39 +11,9 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <vector>
-
-#include "obs/group_telemetry.h"
-#include "obs/query_stats.h"
 
 namespace gola {
 namespace obs {
-
-/// Point-in-time status of one online query, as published by its
-/// controller after each Step. Plain data — safe to copy out under the
-/// registry lock and render without touching the executor.
-struct QueryStatus {
-  uint64_t query_id = 0;
-  std::string label;  // streamed table + block count (no SQL retained)
-  int batch_index = 0;
-  int total_batches = 0;
-  double fraction_processed = 0;
-  double max_rsd = 0;
-  int64_t uncertain_tuples = 0;
-  int64_t uncertain_groups = 0;
-  int recomputes = 0;
-  double batch_seconds = 0;
-  double elapsed_seconds = 0;
-  bool done = false;
-  /// Per-phase cost breakdown and pipeline volume of the last batch.
-  QueryStats last_stats;
-  /// Bounded per-group convergence summary of the last update (top-K worst
-  /// cells by RSD, churn counts); empty when telemetry is disabled.
-  GroupConvergenceSummary groups;
-  /// Cumulative convergence-watchdog warnings ("batch N: stall — ...");
-  /// bounded by the controller.
-  std::vector<std::string> warnings;
-};
 
 class QueryRegistry {
  public:
@@ -54,32 +24,37 @@ class QueryRegistry {
   /// Registers a new query; the returned id keys every later call.
   uint64_t Register(std::string label);
 
-  /// Publishes a status snapshot (query_id/label are taken from the
-  /// registration, not from `status`). Unknown ids are ignored.
-  void Update(uint64_t id, const QueryStatus& status);
+  /// Replaces the query's entry with `fields`: the JSON members (no
+  /// enclosing braces) its controller rendered for the latest update —
+  /// gola::UpdateJson plus the registry-only `done` and `warnings`.
+  /// Unknown ids are ignored.
+  void Update(uint64_t id, std::string fields);
 
-  /// Removes the query from the active set; its last snapshot is retained
-  /// in a short recently-finished history.
+  /// Removes the query from the active set; its last entry is retained in
+  /// a short recently-finished history.
   void Deregister(uint64_t id);
 
-  std::vector<QueryStatus> ActiveQueries() const;
-  std::vector<QueryStatus> RecentQueries() const;
-
-  /// The /statusz document: active + recent queries with per-phase stats.
+  /// The /statusz document: {"queries_started_total", "active_queries",
+  /// "recent_queries"}, each query as {"query_id", "label", <fields>}.
   std::string StatuszJson() const;
 
-  int64_t queries_started() const;
-
-  /// Process-wide registry the introspection server reads.
+  /// Process-wide registry the introspection routes read.
   static QueryRegistry& Global();
 
  private:
+  struct Entry {
+    uint64_t id = 0;
+    std::string label;   // streamed table + block count (no SQL retained)
+    std::string fields;  // empty until the first update
+  };
+  static void AppendEntry(const Entry& e, std::string* out);
+
   static constexpr size_t kRecentCap = 8;
 
   mutable std::mutex mu_;
   uint64_t next_id_ = 1;
-  std::map<uint64_t, QueryStatus> active_;
-  std::deque<QueryStatus> recent_;  // most recent last
+  std::map<uint64_t, Entry> active_;
+  std::deque<Entry> recent_;  // most recent last
 };
 
 }  // namespace obs

@@ -2,8 +2,21 @@
 
 #include <algorithm>
 
+#include "common/string_util.h"
+
 namespace gola {
 namespace obs {
+
+std::string SloJson(const std::vector<SloCrossing>& crossings) {
+  std::string out = "[";
+  for (size_t i = 0; i < crossings.size(); ++i) {
+    const SloCrossing& c = crossings[i];
+    if (i) out += ", ";
+    out += Format("{\"target_rsd\": %.6g, \"met\": %s, \"seconds\": %.6g}",
+                  c.target_rsd, c.met ? "true" : "false", c.seconds);
+  }
+  return out + "]";
+}
 
 AccuracySloTracker::AccuracySloTracker(std::vector<double> rsd_targets) {
   std::sort(rsd_targets.begin(), rsd_targets.end(), std::greater<double>());

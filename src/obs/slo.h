@@ -12,6 +12,7 @@
 #define GOLA_OBS_SLO_H_
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 namespace gola {
@@ -24,6 +25,10 @@ struct SloCrossing {
   double seconds = -1;
   bool met = false;
 };
+
+/// The crossings as a JSON array:
+/// [{"target_rsd": 0.05, "met": true, "seconds": 0.12}, ...].
+std::string SloJson(const std::vector<SloCrossing>& crossings);
 
 /// Records the first crossing of each RSD target. Crossings are monotone by
 /// construction: once a target is met its time never changes, even if a

@@ -9,33 +9,19 @@
 
 #include "common/string_util.h"
 #include "gola/engine.h"
-#include "obs/metrics.h"
+#include "gola/update_json.h"
 #include "obs/query_registry.h"
-#include "obs/timeseries.h"
 
 namespace gola {
 namespace server {
 
 namespace {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += Format("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
+/// `s` as a JSON string literal.
+std::string Quoted(std::string_view s) {
+  std::string out = "\"";
+  out += JsonEscape(s);
+  out += '"';
   return out;
 }
 
@@ -49,12 +35,12 @@ std::string ValueJson(const Value& v) {
       // %.17g round-trips doubles; JSON has no inf/nan, so stringify those.
       double d = v.AsFloat();
       if (d != d || d == 1.0 / 0.0 || d == -1.0 / 0.0) {
-        return "\"" + v.ToString() + "\"";
+        return Quoted(v.ToString());
       }
       return Format("%.17g", d);
     }
-    case TypeId::kString: return "\"" + JsonEscape(v.AsString()) + "\"";
-    default: return "\"" + JsonEscape(v.ToString()) + "\"";
+    case TypeId::kString: return Quoted(v.AsString());
+    default: return Quoted(v.ToString());
   }
 }
 
@@ -103,7 +89,7 @@ std::string QueryService::TableJson(const Table& table, int64_t limit) {
   if (table.schema() != nullptr) {
     for (size_t i = 0; i < table.schema()->num_fields(); ++i) {
       if (i > 0) out += ", ";
-      out += "\"" + JsonEscape(table.schema()->field(i).name) + "\"";
+      out += Quoted(table.schema()->field(i).name);
     }
   }
   out += "], \"rows\": [";
@@ -128,23 +114,13 @@ std::string QueryService::TableJson(const Table& table, int64_t limit) {
   return out;
 }
 
-std::string QueryService::UpdateJson(const QuerySession& session,
-                                     const OnlineUpdate& update) {
-  std::string out = Format(
-      "{\"id\": %llu, \"batch_index\": %d, \"total_batches\": %d, "
-      "\"fraction_processed\": %.6f, \"max_rsd\": %.8g, \"scale\": %.8g, "
-      "\"uncertain_tuples\": %lld, \"uncertain_groups\": %lld, "
-      "\"recomputes\": %d, \"elapsed_seconds\": %.6f, "
-      "\"degradation\": \"%s\", \"scan_shared\": %s, ",
-      static_cast<unsigned long long>(session.id()), update.batch_index,
-      update.total_batches, update.fraction_processed, update.max_rsd,
-      update.scale, static_cast<long long>(update.uncertain_tuples),
-      static_cast<long long>(update.uncertain_groups),
-      update.recomputes_so_far, update.elapsed_seconds,
-      DegradationName(update.degradation),
-      session.scan_shared() ? "true" : "false");
-  out += "\"result\": " + TableJson(update.result, 32) + "}";
-  return out;
+std::string QueryService::UpdateEventJson(const QuerySession& session,
+                                          const OnlineUpdate& update) {
+  return Format("{\"id\": %llu, \"scan_shared\": %s, ",
+                static_cast<unsigned long long>(session.id()),
+                session.scan_shared() ? "true" : "false") +
+         UpdateJson(update) + ", \"result\": " + TableJson(update.result, 32) +
+         "}";
 }
 
 std::string QueryService::SessionJson(const QuerySession& session,
@@ -169,23 +145,8 @@ std::string QueryService::SessionJson(const QuerySession& session,
   // Accuracy-SLO crossings (wall time until the estimate first reached each
   // RSD target; -1 unmet) and lifecycle events — the live view of what the
   // wide-event query log records at the end.
-  out += ", \"slo\": [";
-  bool first_slo = true;
-  for (const obs::SloCrossing& c : session.slo_crossings()) {
-    if (!first_slo) out += ", ";
-    first_slo = false;
-    out += Format("{\"target_rsd\": %.6g, \"met\": %s, \"seconds\": %.6g}",
-                  c.target_rsd, c.met ? "true" : "false", c.seconds);
-  }
-  out += "], \"events\": [";
-  bool first_event = true;
-  for (const obs::QueryLogEvent& e : session.events()) {
-    if (!first_event) out += ", ";
-    first_event = false;
-    out += Format("{\"seconds\": %.6g, \"name\": \"%s\"}", e.seconds,
-                  JsonEscape(e.name).c_str());
-  }
-  out += "]";
+  out += ", \"slo\": " + obs::SloJson(session.slo_crossings());
+  out += ", \"events\": " + obs::QueryLogEventsJson(session.events());
   // Per-group convergence state (DESIGN.md §14): top-K worst cells by RSD
   // plus churn — the live twin of the wide event's `groups` block.
   out += ", \"groups\": " + session.group_summary().ToJson();
@@ -206,6 +167,7 @@ std::string QueryService::SessionJson(const QuerySession& session,
 
 void QueryService::AttachTo(obs::HttpServer* server) {
   Engine* engine = engine_;
+  obs::AttachIntrospectionRoutes(server);
 
   // POST /query — submit and stream. One streaming route serves both modes:
   // SSE (default) and stream=none (immediate JSON receipt).
@@ -283,7 +245,7 @@ void QueryService::AttachTo(obs::HttpServer* server) {
           OnlineUpdate update;
           if ((*session)->Next(&update, std::chrono::milliseconds(250))) {
             if (!writer.Write("event: update\ndata: " +
-                              UpdateJson(**session, update) + "\n\n")) {
+                              UpdateEventJson(**session, update) + "\n\n")) {
               (*session)->Cancel();
               return;
             }
@@ -348,8 +310,9 @@ void QueryService::AttachTo(obs::HttpServer* server) {
         return r;
       }));
 
-  // /statusz — the introspection payload with the session layer spliced in,
-  // so one scrape covers executors and sessions.
+  // /statusz — replaces the registry-only route with the registry payload
+  // plus the session layer spliced in, so one scrape covers executors and
+  // sessions.
   server->Route(
       "/statusz", obs::HttpServer::Handler([engine](
                       const obs::HttpServer::Request&) {
@@ -363,27 +326,12 @@ void QueryService::AttachTo(obs::HttpServer* server) {
           sessions += SessionJson(*s, false);
         }
         sessions += "],\n";
-        r.body = obs::QueryRegistry::Global().StatuszJson();
-        size_t brace = r.body.find('{');
-        if (brace == std::string::npos) {
-          r.body = "{" + sessions + "\"registry\": null}\n";
-        } else {
-          r.body.insert(brace + 1, "\n" + sessions);
-        }
+        // The registry document is one object: splice "sessions" in as its
+        // first member.
+        r.body = "{\n" + sessions +
+                 obs::QueryRegistry::Global().StatuszJson().substr(1);
         return r;
       }));
-
-  // /metrics and /timez on the service port too, so a front end scraping
-  // only this server still gets the labeled families and the convergence
-  // time series without the introspection port.
-  server->Route("/metrics", obs::HttpServer::Handler([](
-                                const obs::HttpServer::Request&) {
-    obs::HttpServer::Response r;
-    r.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    r.body = obs::MetricsRegistry::Global().RenderText();
-    return r;
-  }));
-  obs::AttachTimezRoutes(server);
 }
 
 }  // namespace server

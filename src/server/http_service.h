@@ -2,15 +2,19 @@
 // into a multi-client online-aggregation service on the embedded loopback
 // server (obs/http_server.h).
 //
-// Routes registered by AttachTo:
+// Routes registered by AttachTo, on top of the introspection routes
+// (obs::AttachIntrospectionRoutes: /, /metrics, /tracez, /flightz, /timez,
+// /timez/stream):
 //
 //   POST /query            body = raw SQL; streams the converging answer as
 //                          Server-Sent Events (one `update` event per
-//                          mini-batch, a final `done` event). Query-string
-//                          knobs: batches, replicates, seed, deadline_ms,
-//                          share=0|1 (scan sharing), label,
-//                          stream=sse|none (none → immediate JSON receipt
-//                          {id,...}; poll /sessions/<id>).
+//                          mini-batch — the gola::UpdateJson fields plus
+//                          id, scan_shared and result — and a final `done`
+//                          event). Query-string knobs: batches,
+//                          replicates, seed, deadline_ms, share=0|1 (scan
+//                          sharing), label, stream=sse|none (none →
+//                          immediate JSON receipt {id,...}; poll
+//                          /sessions/<id>).
 //   GET  /sessions         JSON array: every queued/running/recent session.
 //   GET  /sessions/<id>    JSON detail, latest estimate included.
 //   GET  /statusz          the introspection payload from
@@ -45,8 +49,9 @@ class QueryService {
   /// server.Stop() first, engine last).
   explicit QueryService(Engine* engine);
 
-  /// Registers the routes above on `server` (replacing its /statusz with
-  /// the spliced variant). Call once per server, before or after Start.
+  /// Registers the introspection routes and the routes above on `server`
+  /// (its /statusz is the spliced variant). Call once per server, before
+  /// or after Start.
   void AttachTo(obs::HttpServer* server);
 
   // JSON renderers, exposed for tests and the /statusz splice.
@@ -55,9 +60,10 @@ class QueryService {
   /// estimate rows are inlined under "result".
   static std::string SessionJson(const QuerySession& session,
                                  bool include_result);
-  /// One OnlineUpdate as the SSE `data:` payload (single line).
-  static std::string UpdateJson(const QuerySession& session,
-                                const OnlineUpdate& update);
+  /// One OnlineUpdate as the SSE `update` payload (single line): the
+  /// shared gola::UpdateJson fields plus id, scan_shared and result.
+  static std::string UpdateEventJson(const QuerySession& session,
+                                     const OnlineUpdate& update);
   /// A result table as {"columns": [...], "rows": [[...], ...]}.
   static std::string TableJson(const Table& table, int64_t limit = 64);
 

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/string_util.h"
+#include "gola/update_json.h"
 #include "obs/metrics.h"
 
 namespace gola {
@@ -203,14 +204,12 @@ bool QuerySession::StepOnce() {
     cancelled = cancel_requested_;
   }
   if (cancelled) {
-    HarvestExecutorTelemetry();
     Finish(SessionState::kCancelled, Status::OK());
     exec_.reset();  // releases the shared scan reference
     return false;
   }
 
   Result<OnlineUpdate> update = exec_->Step();
-  HarvestExecutorTelemetry();
   if (!update.ok()) {
     Finish(SessionState::kFailed, update.status());
     exec_.reset();
@@ -264,10 +263,9 @@ void QuerySession::Publish(OnlineUpdate update, bool final) {
   stats_total_.rows_in += update.stats.rows_in;
   stats_total_.rows_folded += update.stats.rows_folded;
   stats_total_.rows_uncertain += update.stats.rows_uncertain;
-  // Track the freshest extractable headline (intermediate updates may skip
-  // materialization; the final one never does).
-  HeadlineCell cell = ExtractHeadline(update.result);
-  if (cell.has_estimate) headline_ = cell;
+  // Track the freshest headline that carries an estimate.
+  if (update.headline.has_estimate) headline_ = update.headline;
+  slo_crossings_ = update.slo;
   latest_ = update;
   if (final) final_ = update;
   // Slow consumer: shed the oldest pending update rather than stalling the
@@ -321,49 +319,44 @@ void QuerySession::NoteEventLocked(std::string name) {
   events_.push_back({SecondsSince(submit_time_), std::move(name)});
 }
 
-void QuerySession::HarvestExecutorTelemetry() {
-  if (exec_ == nullptr) return;
-  const obs::AccuracySloTracker& slo = exec_->slo();
-  std::lock_guard<std::mutex> lock(mu_);
-  slo_crossings_ = slo.crossings();
-}
-
 void QuerySession::EmitWideEvent() {
-  obs::QueryLog& log = obs::QueryLog::Global();
+  obs::JsonlWriter& log = obs::QueryLog();
   if (!log.enabled()) return;
-  obs::QueryLogRecord rec;
+  std::string row;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    rec.session_id = std::to_string(id_);
-    rec.label = label_;
-    rec.table = table_;
-    rec.sql = sql_;
-    rec.state = SessionStateName(state_);
-    if (!error_.ok()) rec.error = error_.ToString();
-    rec.degradation = DegradationName(degradation_);
-    rec.num_batches = options_.gola.num_batches;
-    rec.bootstrap_replicates = options_.gola.bootstrap_replicates;
-    rec.seed = options_.gola.seed;
-    rec.deadline_ms = static_cast<int64_t>(options_.gola.deadline_ms);
-    rec.share_scan_requested = options_.share_scan;
-    rec.scan_shared = scan_shared_;
-    rec.batches_done = batches_done_;
-    rec.total_batches = total_batches_;
-    rec.recomputes = recomputes_;
-    rec.updates_dropped = dropped_;
-    rec.seconds_to_first_update = first_update_seconds_;
-    rec.seconds_to_done = done_seconds_;
-    rec.slo = slo_crossings_;
-    rec.stats = stats_total_;
-    rec.events = events_;
-    rec.groups = group_summary_;
-    rec.has_estimate = headline_.has_estimate;
-    rec.estimate = headline_.estimate;
-    rec.ci_lo = headline_.ci_lo;
-    rec.ci_hi = headline_.ci_hi;
-    if (latest_.has_value()) rec.max_rsd = latest_->max_rsd;
+    const GolaOptions& o = options_.gola;
+    row = Format(
+        "{\"schema\": %d, \"kind\": \"query_wide_event\", "
+        "\"session_id\": \"%llu\", \"label\": \"%s\", \"table\": \"%s\", "
+        "\"sql\": \"%s\", \"state\": \"%s\", \"error\": \"%s\", "
+        "\"degradation\": \"%s\", \"num_batches\": %d, "
+        "\"bootstrap_replicates\": %d, \"seed\": %llu, "
+        "\"deadline_ms\": %lld, \"share_scan_requested\": %s, "
+        "\"scan_shared\": %s, \"batches_done\": %d, \"total_batches\": %d, "
+        "\"recomputes\": %d, \"updates_dropped\": %lld, "
+        "\"seconds_to_first_update\": %.6g, \"seconds_to_done\": %.6g, ",
+        obs::kJsonlSchema, static_cast<unsigned long long>(id_),
+        JsonEscape(label_).c_str(), JsonEscape(table_).c_str(),
+        JsonEscape(sql_).c_str(), SessionStateName(state_),
+        error_.ok() ? "" : JsonEscape(error_.ToString()).c_str(),
+        DegradationName(degradation_), o.num_batches, o.bootstrap_replicates,
+        static_cast<unsigned long long>(o.seed),
+        static_cast<long long>(o.deadline_ms),
+        options_.share_scan ? "true" : "false", scan_shared_ ? "true" : "false",
+        batches_done_, total_batches_, recomputes_,
+        static_cast<long long>(dropped_), first_update_seconds_, done_seconds_);
+    row += "\"slo\": " + obs::SloJson(slo_crossings_);
+    row += ", \"stats\": " + QueryStatsJson(stats_total_);
+    row += ", \"events\": " + obs::QueryLogEventsJson(events_);
+    row += ", \"groups\": " + group_summary_.ToJson();
+    row += Format(", \"has_estimate\": %s, ",
+                  headline_.has_estimate ? "true" : "false");
+    row += HeadlineJson(headline_);
+    row += Format(", \"max_rsd\": %.6g}",
+                  latest_.has_value() ? latest_->max_rsd : -1.0);
   }
-  log.Append(rec);
+  log.Append(row);
 }
 
 }  // namespace server

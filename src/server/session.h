@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "gola/controller.h"
-#include "obs/query_log.h"
+#include "obs/jsonl.h"
 
 namespace gola {
 namespace server {
@@ -109,8 +109,8 @@ class QuerySession {
   Degradation degradation() const;
   /// Updates currently waiting in the cursor.
   int pending_updates() const;
-  /// Accuracy-SLO crossings harvested from the executor (wall time to
-  /// RSD ≤ 5/2/1%); empty while queued.
+  /// Accuracy-SLO crossings of the latest update (wall time to RSD ≤
+  /// 5/2/1%); empty while queued.
   std::vector<obs::SloCrossing> slo_crossings() const;
   /// Timestamped lifecycle events (scan_attach, degrade:<rung>,
   /// cancel_requested, checkpoint, and watchdog alerts by kind — stall,
@@ -143,11 +143,8 @@ class QuerySession {
   /// Appends a lifecycle event stamped with seconds-since-submit. Caller
   /// must hold mu_.
   void NoteEventLocked(std::string name);
-  /// Copies telemetry that lives inside the executor (SLO crossings) into
-  /// session state. Caller must hold step_mu_; called before every
-  /// exec_.reset() so the wide event survives executor teardown.
-  void HarvestExecutorTelemetry();
-  /// Builds and appends the wide-event record (no locks held on entry).
+  /// Renders the `"kind": "query_wide_event"` row (obs/jsonl.h schema) and
+  /// appends it to obs::QueryLog() (no locks held on entry).
   void EmitWideEvent();
 
   const uint64_t id_;
@@ -178,9 +175,9 @@ class QuerySession {
   double first_update_seconds_ = -1;
   double done_seconds_ = -1;
 
-  // Wide-event accumulation (guarded by mu_): cumulative QueryStats over
-  // every published batch, the latest extractable headline cell, SLO
-  // crossings harvested from the executor, and timestamped lifecycle
+  // Wide-event accumulation (guarded by mu_), all read off the published
+  // updates: cumulative QueryStats over every batch, the latest headline
+  // cell with an estimate, the SLO crossings, and timestamped lifecycle
   // events.
   obs::QueryStats stats_total_;
   HeadlineCell headline_;

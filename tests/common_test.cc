@@ -42,6 +42,17 @@ TEST(StringUtilTest, EqualsIgnoreCase) {
   EXPECT_FALSE(EqualsIgnoreCase("a", "b"));
 }
 
+TEST(StringUtilTest, JsonEscape) {
+  EXPECT_EQ(JsonEscape("plain"), "plain");
+  EXPECT_EQ(JsonEscape("a\"b"), "a\\\"b");
+  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
+  EXPECT_EQ(JsonEscape("a\nb"), "a\\nb");
+  EXPECT_EQ(JsonEscape("a\rb"), "a\\rb");
+  EXPECT_EQ(JsonEscape("a\tb"), "a\\tb");
+  EXPECT_EQ(JsonEscape("a\x01z"), "a\\u0001z");
+  EXPECT_EQ(JsonEscape(std::string("\0", 1)), "\\u0000");
+}
+
 TEST(ThreadPoolTest, ParallelForRunsEveryIteration) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(100);

@@ -1,7 +1,14 @@
 // Engine facade: table registration, EXPLAIN, CSV round trips through the
 // catalog, UDF/UDAF use through SQL (batch and online), the IN-list and
-// LIKE sugar, and RunToAccuracy.
+// LIKE sugar, RunToAccuracy, and segment backing under GOLA_SEGMENT_DIR.
 #include <gtest/gtest.h>
+
+#include <dirent.h>
+#include <unistd.h>
+
+#include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "gola/gola.h"
@@ -136,6 +143,79 @@ TEST_F(EngineTest, RunToAccuracyStopsEarly) {
   ASSERT_TRUE(last.ok());
   EXPECT_LE(last->max_rsd, 0.005);
   EXPECT_LT(last->batch_index, 50) << "should stop before exhausting the data";
+}
+
+/// Names in `dir` other than "." and "..".
+std::vector<std::string> ListDir(const std::string& dir) {
+  std::vector<std::string> names;
+  DIR* d = opendir(dir.c_str());
+  if (d == nullptr) return names;
+  while (dirent* e = readdir(d)) {
+    const std::string name = e->d_name;
+    if (name != "." && name != "..") names.push_back(name);
+  }
+  closedir(d);
+  return names;
+}
+
+TEST(EngineSegmentDirTest, SegmentFilesAreUnlinkedAndAnswersUnchanged) {
+  // Under GOLA_SEGMENT_DIR every RegisterTable round-trips its table
+  // through a packed segment file. The engine unlinks each file once it is
+  // mapped, so queries still run off the mapping and nothing accumulates
+  // in the directory.
+  std::string dir_template = ::testing::TempDir() + "gola_segdir_XXXXXX";
+  ASSERT_NE(mkdtemp(dir_template.data()), nullptr);
+  const std::string dir = dir_template;
+  const char* prev_env = std::getenv("GOLA_SEGMENT_DIR");
+  const std::string prev = prev_env == nullptr ? "" : prev_env;
+
+  auto make_table = [] {
+    Rng rng(17);
+    auto schema = std::make_shared<Schema>(std::vector<Field>{
+        {"g", TypeId::kInt64}, {"x", TypeId::kFloat64}});
+    TableBuilder builder(schema, 512);
+    for (int i = 0; i < 6000; ++i) {
+      builder.AppendRow({Value::Int(rng.UniformInt(1, 6)),
+                         Value::Float(rng.Normal(50, 8))});
+    }
+    return builder.Finish();
+  };
+  const char* kOnline =
+      "SELECT g, AVG(x) AS m FROM d WHERE x > (SELECT AVG(x) FROM d) "
+      "GROUP BY g ORDER BY g";
+  const char* kBatch = "SELECT g, SUM(x) AS s FROM d GROUP BY g ORDER BY g";
+  GolaOptions opts;
+  opts.num_batches = 6;
+  opts.bootstrap_replicates = 20;
+  auto answers = [&](Engine& engine) {
+    GOLA_CHECK_OK(engine.RegisterTable("d", make_table()));
+    GOLA_CHECK_OK(engine.RegisterTable("d2", make_table()));
+    auto batch = engine.ExecuteBatch(kBatch);
+    GOLA_CHECK_OK(batch.status());
+    auto online = engine.ExecuteOnline(kOnline, opts);
+    GOLA_CHECK_OK(online.status());
+    auto last = (*online)->Run();
+    GOLA_CHECK_OK(last.status());
+    return batch->ToString(100) + last->result.ToString(100);
+  };
+
+  setenv("GOLA_SEGMENT_DIR", dir.c_str(), 1);
+  std::string segment_backed;
+  {
+    Engine engine;
+    segment_backed = answers(engine);
+    EXPECT_TRUE(ListDir(dir).empty()) << "files left while tables are live";
+  }
+  unsetenv("GOLA_SEGMENT_DIR");
+  Engine in_memory;
+  const std::string reference = answers(in_memory);
+  if (!prev.empty()) setenv("GOLA_SEGMENT_DIR", prev.c_str(), 1);
+
+  EXPECT_EQ(segment_backed, reference);
+  const std::vector<std::string> left = ListDir(dir);
+  EXPECT_TRUE(left.empty()) << left.size() << " files left, first: "
+                            << (left.empty() ? "" : left[0]);
+  rmdir(dir.c_str());
 }
 
 }  // namespace

@@ -119,10 +119,16 @@ TEST(ConvergenceTest, TrajectoryIsMonotoneAndWellFormed) {
     EXPECT_LE(estimate, hi + 1e-9) << line;
     EXPECT_GE(rsd, 0) << line;
 
+    // Versioned row of the shared JSONL schema.
+    double schema = 0;
+    ASSERT_TRUE(NumField(line, "schema", &schema));
+    EXPECT_EQ(schema, 1);
+    EXPECT_NE(line.find("\"kind\": \"update\""), std::string::npos) << line;
+
     // Phase breakdown present and non-negative.
     double delta = 0, emit = 0;
-    ASSERT_TRUE(NumField(line, "delta_exec", &delta));
-    ASSERT_TRUE(NumField(line, "emit", &emit));
+    ASSERT_TRUE(NumField(line, "delta_exec_seconds", &delta));
+    ASSERT_TRUE(NumField(line, "emit_seconds", &emit));
     EXPECT_GE(delta, 0);
     EXPECT_GE(emit, 0);
   }

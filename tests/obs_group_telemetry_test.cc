@@ -186,14 +186,16 @@ TEST(GroupConvergenceSummaryTest, ToJsonRendersAbsentAsNull) {
 
 TEST(GroupTelemetryEndToEndTest, GroupedQueryPopulatesUpdateSummary) {
   // End-to-end: a real grouped online query fills OnlineUpdate::groups with
-  // a bounded summary whose worst RSD matches the emission's max_rsd.
+  // a bounded summary — the top 8 of its 12 cells — whose worst RSD matches
+  // the emission's max_rsd.
   Rng rng(7);
   auto schema = std::make_shared<Schema>(std::vector<Field>{
       {"g", TypeId::kString}, {"x", TypeId::kFloat64}});
   TableBuilder builder(schema, 256);
-  const char* groups[] = {"a", "b", "c", "d", "e"};
-  for (int64_t i = 0; i < 5000; ++i) {
-    builder.AppendRow({Value::String(groups[rng.UniformInt(0, 4)]),
+  const char* groups[] = {"a", "b", "c", "d", "e", "f",
+                          "g", "h", "i", "j", "k", "l"};
+  for (int64_t i = 0; i < 12000; ++i) {
+    builder.AppendRow({Value::String(groups[rng.UniformInt(0, 11)]),
                        Value::Float(rng.LogNormal(2.0, 1.0))});
   }
   Engine engine;
@@ -201,19 +203,18 @@ TEST(GroupTelemetryEndToEndTest, GroupedQueryPopulatesUpdateSummary) {
   GolaOptions opts;
   opts.num_batches = 5;
   opts.bootstrap_replicates = 50;
-  opts.group_top_k = 3;
   auto online =
       engine.ExecuteOnline("SELECT g, AVG(x) AS m FROM d GROUP BY g", opts);
   ASSERT_TRUE(online.ok());
   auto update = (*online)->Step();
   ASSERT_TRUE(update.ok());
   if (obs::MetricsEnabled()) {
-    EXPECT_EQ(update->groups.groups_total, 5);
-    EXPECT_EQ(update->groups.cells_total, 5);
-    EXPECT_EQ(update->groups.top.size(), 3u);
+    EXPECT_EQ(update->groups.groups_total, 12);
+    EXPECT_EQ(update->groups.cells_total, 12);
+    EXPECT_EQ(update->groups.top.size(), 8u);
     EXPECT_GT(update->groups.worst_rsd, 0);
     EXPECT_NEAR(update->groups.worst_rsd, update->max_rsd, 1e-12);
-    EXPECT_EQ(update->groups.groups_appeared, 5);
+    EXPECT_EQ(update->groups.groups_appeared, 12);
   } else {
     EXPECT_TRUE(update->groups.empty());
   }

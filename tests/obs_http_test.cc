@@ -1,6 +1,7 @@
 // Live-introspection HTTP server tests: /metrics and /statusz smoke-tested
-// against a real in-process server during a multi-batch online query, plus
-// route/error behavior of the embedded server itself. The client is a raw
+// against a real in-process server (obs::AttachIntrospectionRoutes) during a
+// multi-batch online query, plus route/error behavior of the embedded
+// server itself. The client is a raw
 // loopback socket — the same bytes curl would send.
 #include <gtest/gtest.h>
 
@@ -110,11 +111,16 @@ constexpr const char* kSbi =
     "SELECT AVG(play_time) FROM sessions "
     "WHERE buffer_time > (SELECT AVG(buffer_time) FROM sessions)";
 
-/// The process-wide server, started once on an ephemeral port.
+/// One introspection server for the whole test binary, started once on an
+/// ephemeral port (leaked: it serves until the process exits).
 int ServerPort() {
-  auto server = EnsureIntrospectionServer(0);
-  GOLA_CHECK_OK(server.status());
-  return (*server)->port();
+  static HttpServer* server = [] {
+    auto* s = new HttpServer();
+    AttachIntrospectionRoutes(s);
+    GOLA_CHECK_OK(s->Start(0));
+    return s;
+  }();
+  return server->port();
 }
 
 TEST(HttpServerTest, StatuszAndMetricsDuringLiveQuery) {
@@ -122,7 +128,6 @@ TEST(HttpServerTest, StatuszAndMetricsDuringLiveQuery) {
   GOLA_CHECK_OK(engine.RegisterTable("sessions", MakeSessions(4000, 7)));
   GolaOptions opts;
   opts.num_batches = 8;
-  opts.http_port = 0;  // also exercises the controller's server bootstrap
   auto online = engine.ExecuteOnline(kSbi, opts);
   GOLA_CHECK_OK(online.status());
   int port = ServerPort();

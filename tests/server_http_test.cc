@@ -1,7 +1,9 @@
 // HTTP front-end tests: POST body parsing (Content-Length framing, 400 on
 // malformed requests instead of connection drops), concurrent connections,
 // chunked/SSE streaming, and the QueryService routes end-to-end — multiple
-// curl-equivalent clients streaming converging answers from one engine.
+// curl-equivalent clients streaming converging answers from one engine —
+// plus the update-schema contract: the convergence JSONL row, the SSE
+// `update` event and the /statusz entry agree on every shared field.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -9,7 +11,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -288,6 +294,126 @@ TEST_F(QueryServiceTest, StatuszSplicesSessions) {
   EXPECT_NE(body.find("\"recent_queries\""), std::string::npos) << body;
   // …and the session layer is spliced in.
   EXPECT_NE(body.find("\"sessions\": ["), std::string::npos) << body;
+}
+
+/// Top-level members of a one-line JSON object: key → raw value text
+/// (strings keep their quotes; nested objects and arrays are kept whole).
+std::map<std::string, std::string> TopLevelMembers(const std::string& json) {
+  std::map<std::string, std::string> members;
+  size_t i = json.find('{');
+  if (i == std::string::npos) return members;
+  ++i;
+  auto skip_string = [&](size_t j) {  // j at the opening quote
+    for (++j; j < json.size() && json[j] != '"'; ++j) {
+      if (json[j] == '\\') ++j;
+    }
+    return j + 1;  // past the closing quote
+  };
+  while (i < json.size()) {
+    while (i < json.size() && (json[i] == ' ' || json[i] == ',')) ++i;
+    if (i >= json.size() || json[i] != '"') break;
+    const size_t key_end = skip_string(i);
+    const std::string key = json.substr(i + 1, key_end - i - 2);
+    i = json.find(':', key_end) + 1;
+    while (json[i] == ' ') ++i;
+    const size_t start = i;
+    int depth = 0;
+    while (i < json.size()) {
+      const char c = json[i];
+      if (c == '"') {
+        i = skip_string(i);
+        continue;
+      }
+      if (c == '{' || c == '[') ++depth;
+      if (c == '}' || c == ']') {
+        if (depth == 0) break;
+        --depth;
+      }
+      if (c == ',' && depth == 0) break;
+      ++i;
+    }
+    members[key] = json.substr(start, i - start);
+  }
+  return members;
+}
+
+TEST(UpdateSchemaContractTest, ConvergenceRowSseEventAndStatuszAgree) {
+  // One grouped query through the query service with a convergence path
+  // set. The three views of each update render their shared fields through
+  // gola::UpdateJson, so for batch k every field of the convergence row
+  // (other than the row's own schema/kind) must read the same in the SSE
+  // event, and the /statusz entry must read the same as the final row.
+  const std::string path =
+      ::testing::TempDir() + "schema_contract.convergence.jsonl";
+  std::remove(path.c_str());
+  GolaOptions defaults;
+  defaults.num_batches = 6;
+  defaults.bootstrap_replicates = 16;
+  defaults.convergence_path = path;
+  Engine engine(defaults);
+  GOLA_CHECK_OK(engine.RegisterTable("contract", MakeData(8'000)));
+  obs::HttpServer server;
+  QueryService service(&engine);
+  service.AttachTo(&server);
+  GOLA_CHECK_OK(server.Start(0));
+
+  const std::string response = Post(
+      server.port(), "/query",
+      "SELECT g, AVG(x) AS m FROM contract GROUP BY g ORDER BY g");
+  const std::string statusz = BodyOf(Get(server.port(), "/statusz"));
+  server.Stop();
+  engine.sessions().Shutdown();
+
+  using Members = std::map<std::string, std::string>;
+  std::map<int, Members> events, rows;
+  std::istringstream sse(response);
+  std::string line;
+  bool in_update = false;
+  while (std::getline(sse, line)) {
+    if (line.rfind("event: ", 0) == 0) in_update = line == "event: update";
+    if (in_update && line.rfind("data: ", 0) == 0) {
+      Members m = TopLevelMembers(line);
+      events[std::stoi(m["batch_index"])] = m;
+    }
+  }
+  std::ifstream in(path);
+  while (std::getline(in, line)) {
+    if (line.empty()) continue;
+    Members m = TopLevelMembers(line);
+    EXPECT_EQ(m["schema"], "1") << line;
+    EXPECT_EQ(m["kind"], "\"update\"") << line;
+    rows[std::stoi(m["batch_index"])] = m;
+  }
+  std::remove(path.c_str());
+  ASSERT_EQ(rows.size(), 6u);
+  ASSERT_EQ(events.size(), 6u) << response;
+
+  for (const auto& [k, row] : rows) {
+    const Members& event = events[k];
+    EXPECT_NE(row.at("estimate"), "null") << "batch " << k;
+    EXPECT_EQ(row.at("stats").front(), '{') << "batch " << k;
+    for (const auto& [key, value] : row) {
+      if (key == "schema" || key == "kind") continue;
+      ASSERT_TRUE(event.count(key)) << "SSE event lacks " << key;
+      EXPECT_EQ(event.at(key), value) << "batch " << k << " key " << key;
+    }
+  }
+
+  // The registry holds each query's last entry, one entry per line.
+  std::istringstream status_lines(statusz);
+  Members entry;
+  while (std::getline(status_lines, line)) {
+    if (line.find("\"label\": \"contract (") != std::string::npos) {
+      entry = TopLevelMembers(line);
+    }
+  }
+  ASSERT_FALSE(entry.empty()) << statusz;
+  EXPECT_EQ(entry["done"], "true");
+  for (const auto& [key, value] : rows.at(6)) {
+    if (key == "schema" || key == "kind") continue;
+    ASSERT_TRUE(entry.count(key)) << "/statusz entry lacks " << key;
+    EXPECT_EQ(entry.at(key), value) << "key " << key;
+  }
 }
 
 }  // namespace

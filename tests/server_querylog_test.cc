@@ -14,7 +14,7 @@
 #include "common/failpoint.h"
 #include "common/random.h"
 #include "gola/gola.h"
-#include "obs/query_log.h"
+#include "obs/jsonl.h"
 #include "server/dispatcher.h"
 
 namespace gola {
@@ -106,13 +106,13 @@ class QueryLogTest : public ::testing::Test {
             ::testing::UnitTest::GetInstance()->current_test_info()->name() +
             ".jsonl";
     std::remove(path_.c_str());
-    ASSERT_TRUE(obs::QueryLog::Global().Open(path_));
+    ASSERT_TRUE(obs::QueryLog().Open(path_));
     GOLA_CHECK_OK(engine_.RegisterTable("d", MakeData(20'000, 99)));
   }
   void TearDown() override {
     fail::DisarmAll();
     engine_.sessions().Shutdown();
-    obs::QueryLog::Global().Close();
+    obs::QueryLog().Close();
     std::remove(path_.c_str());
   }
 
@@ -148,8 +148,10 @@ TEST_F(QueryLogTest, SuccessRecordCarriesFullSchema) {
   const std::string& rec = lines[0];
   ExpectBalancedJson(rec);
 
-  // Identity.
+  // Schema version and row kind, shared with the convergence JSONL rows.
+  EXPECT_EQ(RawValue(rec, "schema"), "1");
   EXPECT_EQ(RawValue(rec, "kind"), "query_wide_event");
+  // Identity.
   EXPECT_EQ(RawValue(rec, "session_id"), std::to_string((*session)->id()));
   EXPECT_EQ(RawValue(rec, "label"), "panel-1");
   EXPECT_EQ(RawValue(rec, "table"), "d");

@@ -4,6 +4,12 @@ Figure-3-style plot: headline estimate with its CI band over query time,
 plus the max-RSD decay on a second panel. Emits CSV and a self-contained
 SVG; standard library only, so it runs anywhere CI does.
 
+Input rows follow the engine's versioned JSONL schema (src/obs/jsonl.h,
+"schema": 1): each `"kind": "update"` row carries the shared update fields
+(batch_index, fraction_processed, elapsed_seconds, estimate, ci_lo, ci_hi,
+rsd, max_rsd, stats, ...). Rows of any other kind, such as the wide-event
+`"query_wide_event"`, are skipped, so a file mixing both kinds plots too.
+
 Usage:
   python3 tools/plot_convergence.py run.jsonl [-o out_prefix]
 
@@ -31,9 +37,11 @@ def load_records(path):
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError as e:
                 sys.exit(f"{path}:{lineno}: malformed JSONL record: {e}")
+            if record.get("kind", "update") == "update":
+                records.append(record)
     if not records:
         sys.exit(f"{path}: no records")
     return records
