@@ -30,11 +30,8 @@ Result<NaiveOlaUpdate> NaiveOlaExecutor::Step() {
   const int i = next_batch_;
   obs::TraceSpan batch_span("naive_batch", "index", i);
 
-  std::vector<std::shared_ptr<const Chunk>> prefix_pins =
+  std::vector<std::shared_ptr<const Chunk>> prefix =
       partitioner_->BatchesSharedUpTo(i + 1);
-  std::vector<const Chunk*> prefix;
-  prefix.reserve(prefix_pins.size());
-  for (const auto& p : prefix_pins) prefix.push_back(p.get());
   rows_through_ += static_cast<int64_t>(prefix.back()->num_rows());
   const int64_t rows_through = rows_through_;
   double scale = static_cast<double>(partitioner_->total_rows()) /

@@ -65,10 +65,15 @@ void ReplicatedAgg::UpdateNumericWeighted(double v, const int32_t* weights, size
 
 void ReplicatedAgg::UpdateValueWeighted(const Value& v, const int32_t* weights, size_t b) {
   if (simple_ != SimpleAggKind::kNone) {
-    // A value that cannot widen to double (NULL, string) is skipped outright
-    // — the same behavior as the generic AggState path, whose default
-    // UpdateValue drops non-convertible observations. Folding it as 0.0
-    // would bias SUM/AVG replicates and inflate every replicate count.
+    // COUNT counts every non-NULL value, strings included, as the batch
+    // engine's CountState does. SUM/AVG bind only numeric arguments; a
+    // value that cannot widen to double is skipped outright — folding it
+    // as 0.0 would bias their replicates and inflate every replicate count.
+    if (v.is_null()) return;
+    if (simple_ == SimpleAggKind::kCount) {
+      UpdateNumericWeighted(1.0, weights, b);
+      return;
+    }
     auto d = v.ToDouble();
     if (!d.ok()) return;
     UpdateNumericWeighted(*d, weights, b);

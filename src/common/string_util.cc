@@ -26,6 +26,15 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
+std::string StrCat(std::initializer_list<std::string_view> pieces) {
+  size_t size = 0;
+  for (std::string_view p : pieces) size += p.size();
+  std::string out;
+  out.reserve(size);
+  for (std::string_view p : pieces) out += p;
+  return out;
+}
+
 std::vector<std::string> Split(std::string_view s, char sep) {
   std::vector<std::string> out;
   size_t start = 0;

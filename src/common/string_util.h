@@ -3,6 +3,7 @@
 #define GOLA_COMMON_STRING_UTIL_H_
 
 #include <cstdarg>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,6 +16,11 @@ std::string ToUpper(std::string_view s);
 
 /// Joins the parts with `sep` between consecutive elements.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
+
+/// Concatenates the pieces into one string. Prefer it over a
+/// `"literal" + std::string` chain, on which GCC 12 reports a spurious
+/// -Wrestrict (an error under GOLA_WERROR).
+std::string StrCat(std::initializer_list<std::string_view> pieces);
 
 /// Splits on a single character; keeps empty fields.
 std::vector<std::string> Split(std::string_view s, char sep);

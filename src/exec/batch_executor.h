@@ -44,11 +44,12 @@ class BatchExecutor {
   Result<Table> Execute(const CompiledQuery& query, const BatchExecOptions& opts = {});
 
   /// Executes with the chunks of `streamed_table` replaced by `chunks` —
-  /// i.e. evaluates Q(D_i, scale) over an explicit data prefix. Dimension
-  /// tables still come from the catalog in full.
+  /// i.e. evaluates Q(D_i, scale) over an explicit data prefix, such as
+  /// MiniBatchPartitioner::BatchesSharedUpTo(i). Dimension tables still
+  /// come from the catalog in full.
   Result<Table> ExecuteOnChunks(const CompiledQuery& query,
                                 const std::string& streamed_table,
-                                const std::vector<const Chunk*>& chunks,
+                                const std::vector<std::shared_ptr<const Chunk>>& chunks,
                                 const BatchExecOptions& opts = {});
 
  private:

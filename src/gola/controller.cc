@@ -209,6 +209,10 @@ Status OnlineQueryExecutor::Prepare(
   obs::FlightRecorder::Global().Note("query_start", streamed.c_str(),
                                      static_cast<int64_t>(registry_id_));
 
+  // The engine's clock starts with Prepare's own wall time (the timer runs
+  // since construction), so the first update and the SLO time-to-RSD count
+  // the partitioner build.
+  elapsed_ = total_timer_.ElapsedSeconds();
   total_timer_.Restart();
   return Status::OK();
 }

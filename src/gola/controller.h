@@ -106,7 +106,10 @@ struct OnlineUpdate {
   /// copy) — subtract it to measure delta maintenance alone, so §5-style
   /// overhead experiments don't misattribute reporting cost.
   double materialize_seconds = 0;
-  double elapsed_seconds = 0;  // wall time since query start
+  /// Engine time so far: Prepare()'s wall time (partitioner build
+  /// included) plus Σ batch_seconds. Caller think-time between Steps is
+  /// not counted.
+  double elapsed_seconds = 0;
 
   /// Highest deadline-degradation rung in effect when this update was
   /// produced (kNone unless deadline_ms pressure kicked in).

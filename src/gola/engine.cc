@@ -8,6 +8,7 @@
 #include <cstdlib>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 #include "parser/parser.h"
 #include "storage/segment/segment.h"
 
@@ -24,8 +25,8 @@ std::string SegmentFileName(const std::string& table_name) {
   // pid + sequence keep concurrent test shards writing to one shared
   // GOLA_SEGMENT_DIR from colliding.
   static std::atomic<uint64_t> seq{0};
-  out += "." + std::to_string(getpid()) + "." +
-         std::to_string(seq.fetch_add(1)) + ".gseg";
+  out += StrCat({".", std::to_string(getpid()), ".",
+                 std::to_string(seq.fetch_add(1)), ".gseg"});
   return out;
 }
 
@@ -84,7 +85,7 @@ TablePtr Engine::MaybeSegmentBacked(const std::string& name,
       table->num_rows() == 0) {
     return table;
   }
-  std::string path = std::string(dir) + "/" + SegmentFileName(name);
+  std::string path = StrCat({dir, "/", SegmentFileName(name)});
   Status st = WriteSegmentFile(*table, path);
   if (st.ok()) {
     auto opened = OpenSegmentTable(path);

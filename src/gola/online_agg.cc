@@ -273,10 +273,9 @@ Status UpdateGroupMapVectorized(const BlockDef& block, const PoissonWeights* wei
               agg.UpdateNumericWeighted(widened[a][sel[i]], weight_row(tile_i), b);
             }
           }
-        } else if (flat) {
-          // Simple aggregate over a string argument: every non-null value
-          // fails to widen, so the fold is a no-op (matches the reference).
         } else {
+          // Non-numeric argument (a generic aggregate, or COUNT over
+          // strings): fold value by value, as the reference path does.
           for (size_t i = 0; i < tn; ++i) {
             uint32_t r = trows[i];
             if (col.IsNull(r)) continue;

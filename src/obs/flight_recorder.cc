@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <mutex>
+#include <thread>
 
 #include "common/logging.h"
 
@@ -76,9 +77,29 @@ void WriteAll(int fd, const char* buf, size_t len) {
 void FlightRecorder::Note(const char* name, const char* detail, int64_t arg) {
   const uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[ticket & (kCapacity - 1)];
-  // Claim (odd) → fill → publish (even). A reader that observes an odd or
-  // changed sequence discards its copy of the slot.
-  slot.seq.store(2 * ticket + 1, std::memory_order_release);
+  // Claim (odd) → fill → publish (even). Two writers whose tickets differ
+  // by kCapacity map to the same slot, so the claim is a CAS from a
+  // published (even) word: only one writer fills a slot at a time, and a
+  // reader that saw the same even word before and after its copy read one
+  // writer's record. A writer finding a newer record already published
+  // drops its own note — the ring keeps the most recent events.
+  const uint64_t claimed = 2 * ticket + 1;
+  uint64_t seq = slot.seq.load(std::memory_order_relaxed);
+  for (;;) {
+    if ((seq & 1) != 0) {  // another writer is mid-fill
+      std::this_thread::yield();
+      seq = slot.seq.load(std::memory_order_relaxed);
+      continue;
+    }
+    if (seq > claimed) return;  // a later ticket already owns the slot
+    if (slot.seq.compare_exchange_weak(seq, claimed, std::memory_order_relaxed,
+                                       std::memory_order_relaxed)) {
+      break;
+    }
+  }
+  // Orders the claim before the payload stores: a reader that sees any of
+  // the new payload also sees the odd word (or a later one) on its re-check.
+  std::atomic_thread_fence(std::memory_order_release);
   slot.t_us.store(WallMicros(), std::memory_order_relaxed);
   slot.tid.store(internal::ThisThreadId(), std::memory_order_relaxed);
   slot.arg.store(arg, std::memory_order_relaxed);

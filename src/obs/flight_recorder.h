@@ -4,12 +4,13 @@
 // from a fatal-signal handler, or on demand via GET /flightz — so a crash
 // or pathological recompute leaves a postmortem trail.
 //
-// Cost model: a Note is one relaxed fetch_add to claim a ticket, two
-// release stores on the slot's sequence word, and two bounded string
+// Cost model: a Note is one relaxed fetch_add to claim a ticket, a CAS
+// and a release store on the slot's sequence word, and two bounded string
 // copies — no locks, no allocation, no clock syscall beyond the vDSO
-// gettimeofday. Concurrent writers never block each other; a reader
-// (Snapshot/Dump) detects slots torn by an in-flight writer via the
-// seqlock-style sequence word and skips them.
+// gettimeofday. Writers wait on each other only when two notes kCapacity
+// tickets apart hit the same slot at once; a reader (Snapshot/Dump)
+// detects slots torn by an in-flight writer via the seqlock-style sequence
+// word and skips them.
 #ifndef GOLA_OBS_FLIGHT_RECORDER_H_
 #define GOLA_OBS_FLIGHT_RECORDER_H_
 
@@ -86,7 +87,8 @@ class FlightRecorder {
   /// (the ring must stay TSan-clean under concurrent writers).
   struct alignas(64) Slot {
     /// Seqlock word: 0 = never written; 2·ticket+1 while the writer is
-    /// filling the slot; 2·ticket+2 once the record is complete.
+    /// filling the slot (claimed by CAS from an even word, so one writer
+    /// at a time); 2·ticket+2 once the record is complete.
     std::atomic<uint64_t> seq{0};
     std::atomic<int64_t> t_us{0};
     std::atomic<uint32_t> tid{0};

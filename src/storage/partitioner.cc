@@ -23,8 +23,7 @@ std::vector<int64_t> FisherYatesPermutation(int64_t n, uint64_t seed) {
   return perm;
 }
 
-/// Same shuffle as ShuffleChunks, as an index order (streamed tables
-/// reorder chunk indices instead of copying chunks).
+/// Random chunk order for partition-wise randomness.
 std::vector<size_t> ShuffledChunkOrder(size_t num_chunks, uint64_t seed) {
   std::vector<size_t> order(num_chunks);
   std::iota(order.begin(), order.end(), 0);
@@ -67,23 +66,12 @@ Table RandomShuffle(const Table& table, uint64_t seed) {
   return out;
 }
 
-Table ShuffleChunks(const Table& table, uint64_t seed) {
-  std::vector<size_t> order = ShuffledChunkOrder(table.num_chunks(), seed);
-  Table out(table.schema());
-  for (size_t idx : order) out.AppendChunk(table.chunk(idx));
-  return out;
-}
-
-// How many recently served batches stay resident so `batch(int)` references
-// remain valid across a few subsequent accesses.
+// How many recently served batches a streamed partitioner keeps cached, so
+// sessions sharing the scan a few batches apart reuse one gather.
 static constexpr int kRetainBatches = 3;
 
 struct MiniBatchPartitioner::Stream {
-  std::shared_ptr<const ColumnSource> source;
-  std::vector<int64_t> perm;          // empty => identity (no row shuffle)
-  std::vector<size_t> chunk_order;    // reordered position -> source chunk
-  std::vector<int64_t> chunk_starts;  // rows before each reordered chunk
-  std::vector<int64_t> batch_starts;  // serial bounds, num_batches + 1
+  Table table;  // the streamed table (a copy shares its ColumnSource)
 
   struct Entry {
     std::shared_ptr<const Chunk> chunk;
@@ -93,7 +81,6 @@ struct MiniBatchPartitioner::Stream {
   mutable std::mutex mu;
   mutable std::condition_variable cv;
   mutable std::map<int, Entry> cache;
-  mutable std::vector<std::shared_ptr<const Chunk>> legacy_pins;
   mutable int want = -1;
   bool stop = false;
   std::thread worker;
@@ -102,115 +89,52 @@ struct MiniBatchPartitioner::Stream {
 MiniBatchPartitioner::MiniBatchPartitioner(const Table& table,
                                            const MiniBatchOptions& options) {
   GOLA_CHECK(options.num_batches > 0);
+  const size_t nchunks = table.num_chunks();
+  const std::shared_ptr<const ColumnSource>& source = table.source();
+  total_rows_ = table.num_rows();
+
+  // Row shuffle: a global permutation over the chunks in table order.
+  // Partition-wise randomness: a random chunk order, rows kept in place.
+  if (options.row_shuffle) {
+    plan_.chunk_order.resize(nchunks);
+    std::iota(plan_.chunk_order.begin(), plan_.chunk_order.end(), 0);
+    plan_.perm = FisherYatesPermutation(total_rows_, options.seed);
+  } else {
+    plan_.chunk_order = ShuffledChunkOrder(nchunks, options.seed);
+  }
+  plan_.chunk_starts.reserve(nchunks + 1);
+  int64_t acc = 0;
+  for (size_t c : plan_.chunk_order) {
+    plan_.chunk_starts.push_back(acc);
+    acc += source != nullptr ? source->chunk_rows(c)
+                             : static_cast<int64_t>(table.chunk(c).num_rows());
+  }
+  plan_.chunk_starts.push_back(acc);
+
+  int64_t k = options.num_batches;
+  int64_t per_batch = total_rows_ / k;
+  if (per_batch == 0) per_batch = 1;
+  plan_.batch_starts.push_back(0);
+  int64_t serial = 0;
+  for (int64_t b = 0; b < k && serial < total_rows_; ++b) {
+    int64_t len = (b == k - 1) ? (total_rows_ - serial)
+                               : std::min(per_batch, total_rows_ - serial);
+    serial += len;
+    plan_.batch_starts.push_back(serial);
+  }
+  num_batches_ = static_cast<int>(plan_.batch_starts.size()) - 1;
+
   if (table.streamed()) {
-    InitStreaming(table, options);
+    stream_ = std::make_unique<Stream>();
+    stream_->table = table;
+    stream_->worker = std::thread([this] { PrefetchLoop(); });
     return;
   }
   // Gather each batch chunk-wise, never materializing a combined copy of
   // the whole table: full-table copies are page-fault-bound on large
   // inputs, while per-batch gathers stay in allocator-recycled memory.
-  const Table* source = &table;
-  Table reordered;
-  if (!options.row_shuffle) {
-    reordered = ShuffleChunks(table, options.seed);
-    source = &reordered;
-  }
-  total_rows_ = source->num_rows();
-
-  std::vector<int64_t> perm;
-  if (options.row_shuffle) {
-    perm = FisherYatesPermutation(total_rows_, options.seed);
-  } else {
-    perm.resize(static_cast<size_t>(total_rows_));
-    std::iota(perm.begin(), perm.end(), 0);
-  }
-
-  // Global row index → (chunk, local offset) translation table.
-  std::vector<int64_t> chunk_starts;
-  chunk_starts.reserve(source->num_chunks() + 1);
-  int64_t acc = 0;
-  for (size_t c = 0; c < source->num_chunks(); ++c) {
-    chunk_starts.push_back(acc);
-    acc += static_cast<int64_t>(source->chunk(c).num_rows());
-  }
-  chunk_starts.push_back(acc);
-
-  int64_t k = options.num_batches;
-  int64_t per_batch = total_rows_ / k;
-  if (per_batch == 0) per_batch = 1;
-
-  int64_t serial = 0;
-  batches_.reserve(static_cast<size_t>(k));
-  // Scratch: per source chunk, the local rows this batch draws from it.
-  std::vector<std::vector<int64_t>> local_rows(source->num_chunks());
-  for (int64_t b = 0; b < k && serial < total_rows_; ++b) {
-    int64_t len = (b == k - 1) ? (total_rows_ - serial)
-                               : std::min(per_batch, total_rows_ - serial);
-    for (auto& rows : local_rows) rows.clear();
-    for (int64_t p = serial; p < serial + len; ++p) {
-      int64_t global = perm[static_cast<size_t>(p)];
-      // Chunks are near-uniform; binary search keeps this O(log c).
-      size_t c = static_cast<size_t>(
-          std::upper_bound(chunk_starts.begin(), chunk_starts.end(), global) -
-          chunk_starts.begin() - 1);
-      local_rows[c].push_back(global - chunk_starts[c]);
-    }
-    // Rows within a batch may appear in any order: serials are assigned by
-    // batch position, and any fixed assignment preserves uniformity.
-    Chunk batch;
-    for (size_t c = 0; c < local_rows.size(); ++c) {
-      if (local_rows[c].empty()) continue;
-      GOLA_CHECK_OK(batch.Append(source->chunk(c).Take(local_rows[c])));
-    }
-    std::vector<int64_t> serials(static_cast<size_t>(len));
-    std::iota(serials.begin(), serials.end(), serial);
-    batch.set_serials(std::move(serials));
-    batches_.push_back(std::move(batch));
-    serial += len;
-  }
-  num_batches_ = static_cast<int>(batches_.size());
-}
-
-void MiniBatchPartitioner::InitStreaming(const Table& table,
-                                         const MiniBatchOptions& options) {
-  stream_ = std::make_unique<Stream>();
-  Stream& s = *stream_;
-  s.source = table.source();
-  total_rows_ = s.source->num_rows();
-
-  size_t nchunks = s.source->num_chunks();
-  if (options.row_shuffle) {
-    s.chunk_order.resize(nchunks);
-    std::iota(s.chunk_order.begin(), s.chunk_order.end(), 0);
-    s.perm = FisherYatesPermutation(total_rows_, options.seed);
-  } else {
-    // Partition-wise randomness: same chunk order ShuffleChunks would
-    // produce, identity row permutation within that order.
-    s.chunk_order = ShuffledChunkOrder(nchunks, options.seed);
-  }
-  s.chunk_starts.reserve(nchunks + 1);
-  int64_t acc = 0;
-  for (size_t c = 0; c < nchunks; ++c) {
-    s.chunk_starts.push_back(acc);
-    acc += s.source->chunk_rows(s.chunk_order[c]);
-  }
-  s.chunk_starts.push_back(acc);
-
-  // Identical batch-bound arithmetic to the eager constructor.
-  int64_t k = options.num_batches;
-  int64_t per_batch = total_rows_ / k;
-  if (per_batch == 0) per_batch = 1;
-  s.batch_starts.push_back(0);
-  int64_t serial = 0;
-  for (int64_t b = 0; b < k && serial < total_rows_; ++b) {
-    int64_t len = (b == k - 1) ? (total_rows_ - serial)
-                               : std::min(per_batch, total_rows_ - serial);
-    serial += len;
-    s.batch_starts.push_back(serial);
-  }
-  num_batches_ = static_cast<int>(s.batch_starts.size()) - 1;
-
-  s.worker = std::thread([this] { PrefetchLoop(); });
+  batches_.reserve(static_cast<size_t>(num_batches_));
+  for (int i = 0; i < num_batches_; ++i) batches_.push_back(GatherBatch(i, table));
 }
 
 MiniBatchPartitioner::~MiniBatchPartitioner() {
@@ -223,30 +147,38 @@ MiniBatchPartitioner::~MiniBatchPartitioner() {
   if (stream_->worker.joinable()) stream_->worker.join();
 }
 
-std::shared_ptr<const Chunk> MiniBatchPartitioner::MaterializeBatch(int i) const {
-  const Stream& s = *stream_;
-  int64_t begin = s.batch_starts[static_cast<size_t>(i)];
-  int64_t end = s.batch_starts[static_cast<size_t>(i) + 1];
-  size_t nchunks = s.chunk_order.size();
+Chunk MiniBatchPartitioner::GatherBatch(int i, const Table& table) const {
+  const int64_t begin = plan_.batch_starts[static_cast<size_t>(i)];
+  const int64_t end = plan_.batch_starts[static_cast<size_t>(i) + 1];
+  const size_t nchunks = plan_.chunk_order.size();
+  // Per reordered chunk, the local rows this batch draws from it. Rows
+  // within a batch may appear in any order: serials are assigned by batch
+  // position, and any fixed assignment preserves uniformity.
   std::vector<std::vector<int64_t>> local(nchunks);
   for (int64_t p = begin; p < end; ++p) {
-    int64_t global = s.perm.empty() ? p : s.perm[static_cast<size_t>(p)];
+    int64_t global = plan_.perm.empty() ? p : plan_.perm[static_cast<size_t>(p)];
+    // Chunks are near-uniform; binary search keeps this O(log c).
     size_t c = static_cast<size_t>(
-        std::upper_bound(s.chunk_starts.begin(), s.chunk_starts.end(), global) -
-        s.chunk_starts.begin() - 1);
-    local[c].push_back(global - s.chunk_starts[c]);
+        std::upper_bound(plan_.chunk_starts.begin(), plan_.chunk_starts.end(), global) -
+        plan_.chunk_starts.begin() - 1);
+    local[c].push_back(global - plan_.chunk_starts[c]);
   }
-  auto batch = std::make_shared<Chunk>();
+  Chunk batch;
   for (size_t c = 0; c < nchunks; ++c) {
     if (local[c].empty()) continue;
-    auto piece = s.source->GatherRows(s.chunk_order[c], local[c]);
-    GOLA_CHECK(piece.ok()) << "gathering streamed mini-batch: "
-                           << piece.status().ToString();
-    GOLA_CHECK_OK(batch->Append(std::move(*piece)));
+    const size_t chunk = plan_.chunk_order[c];
+    if (table.streamed()) {
+      auto piece = table.source()->GatherRows(chunk, local[c]);
+      GOLA_CHECK(piece.ok()) << "gathering streamed mini-batch: "
+                             << piece.status().ToString();
+      GOLA_CHECK_OK(batch.Append(*piece));
+    } else {
+      GOLA_CHECK_OK(batch.Append(table.chunk(chunk).Take(local[c])));
+    }
   }
   std::vector<int64_t> serials(static_cast<size_t>(end - begin));
   std::iota(serials.begin(), serials.end(), begin);
-  batch->set_serials(std::move(serials));
+  batch.set_serials(std::move(serials));
   return batch;
 }
 
@@ -266,7 +198,7 @@ std::shared_ptr<const Chunk> MiniBatchPartitioner::FetchBatch(
     }
   }
   if (chunk == nullptr) {
-    chunk = MaterializeBatch(i);
+    chunk = std::make_shared<const Chunk>(GatherBatch(i, s.table));
   }
   {
     std::lock_guard<std::mutex> lock(s.mu);
@@ -307,7 +239,7 @@ void MiniBatchPartitioner::PrefetchLoop() {
       s.want = -1;
       if (s.cache.find(target) != s.cache.end()) continue;
     }
-    std::shared_ptr<const Chunk> chunk = MaterializeBatch(target);
+    auto chunk = std::make_shared<const Chunk>(GatherBatch(target, s.table));
     {
       std::lock_guard<std::mutex> lock(s.mu);
       auto& e = s.cache[target];
@@ -317,14 +249,6 @@ void MiniBatchPartitioner::PrefetchLoop() {
       }
     }
   }
-}
-
-const Chunk& MiniBatchPartitioner::batch(int i) const {
-  if (stream_ == nullptr) return batches_[static_cast<size_t>(i)];
-  // The cache retains the last kRetainBatches batches, so this reference
-  // stays valid across the sequential access patterns the engine uses.
-  std::shared_ptr<const Chunk> chunk = FetchBatch(i, /*record_hit_miss=*/true);
-  return *chunk;
 }
 
 std::shared_ptr<const Chunk> MiniBatchPartitioner::BatchShared(int i) const {
@@ -349,24 +273,6 @@ std::vector<std::shared_ptr<const Chunk>> MiniBatchPartitioner::BatchesSharedUpT
       out.push_back(FetchBatch(i, /*record_hit_miss=*/false));
     }
   }
-  return out;
-}
-
-std::vector<const Chunk*> MiniBatchPartitioner::BatchesUpTo(int upto) const {
-  std::vector<const Chunk*> out;
-  out.reserve(static_cast<size_t>(upto));
-  if (stream_ == nullptr) {
-    for (int i = 0; i < upto && i < num_batches_; ++i) {
-      out.push_back(&batches_[static_cast<size_t>(i)]);
-    }
-    return out;
-  }
-  std::vector<std::shared_ptr<const Chunk>> pins = BatchesSharedUpTo(upto);
-  {
-    std::lock_guard<std::mutex> lock(stream_->mu);
-    stream_->legacy_pins = pins;
-  }
-  for (const auto& p : pins) out.push_back(p.get());
   return out;
 }
 

@@ -11,15 +11,16 @@
 // the paper's default) is also provided for data already stored in
 // randomly-ordered partitions.
 //
-// For in-memory tables all batches are materialized eagerly, exactly as
-// before. For *streamed* tables (Table::FromSource over a compressed
-// segment file) the partitioner computes only the permutation and batch
-// bounds up front and gathers each batch from the ColumnSource on demand —
-// bit-identical to the eager construction — so resident memory is the
-// current batch plus estimator state, not the table (ROADMAP item 3). A
-// background prefetch thread overlaps the gather/decode of batch i+1 with
-// the caller's estimation of batch i (PF-OLA's I/O–estimation overlap),
-// with hit/miss counters exported through obs.
+// Both modes compute one batch plan up front (row permutation, chunk order,
+// chunk starts, batch bounds) and cut batches through one gather. For
+// in-memory tables every batch is gathered eagerly at construction, so a
+// Step never pays for it. For *streamed* tables (Table::FromSource over a
+// compressed segment file) each batch is gathered from the ColumnSource on
+// demand — bit-identical to the eager construction — so resident memory
+// is the current batch plus estimator state, not the table (ROADMAP item
+// 3). A background prefetch thread overlaps the gather/decode of batch i+1
+// with the caller's estimation of batch i (PF-OLA's I/O–estimation
+// overlap), with hit/miss counters exported through obs.
 #ifndef GOLA_STORAGE_PARTITIONER_H_
 #define GOLA_STORAGE_PARTITIONER_H_
 
@@ -38,10 +39,6 @@ namespace gola {
 
 /// Fisher-Yates shuffles all rows of the table (stable chunk size preserved).
 Table RandomShuffle(const Table& table, uint64_t seed);
-
-/// Returns a table with the same rows but chunks reordered randomly
-/// (partition-wise randomness, §2: "randomly picking data partitions").
-Table ShuffleChunks(const Table& table, uint64_t seed);
 
 struct MiniBatchOptions {
   int num_batches = 10;
@@ -72,34 +69,32 @@ class MiniBatchPartitioner {
   /// of being held resident.
   bool streaming() const { return stream_ != nullptr; }
 
-  /// The i-th mini-batch (serials attached). For streamed tables the
-  /// reference stays valid until a handful of later batches have been
-  /// fetched (a small retention ring); use BatchShared when the batch must
-  /// outlive subsequent accesses.
-  const Chunk& batch(int i) const;
-
-  /// Shared-ownership access to batch i: the chunk stays alive as long as
-  /// the returned pointer does, independent of the retention ring. This is
-  /// the preferred accessor for engine code.
+  /// The i-th mini-batch (serials attached). The chunk stays alive as long
+  /// as the returned pointer does.
   std::shared_ptr<const Chunk> BatchShared(int i) const;
 
   /// All batches in [0, upto) — used by recompute paths and baselines.
   /// The pins keep every returned chunk alive.
   std::vector<std::shared_ptr<const Chunk>> BatchesSharedUpTo(int upto) const;
 
-  /// Legacy raw-pointer variant; for streamed tables the pointers stay
-  /// valid until the next BatchesUpTo/BatchesSharedUpTo call on this
-  /// partitioner.
-  std::vector<const Chunk*> BatchesUpTo(int upto) const;
-
  private:
+  /// Stream order and batch bounds: a pure function of the table's chunk
+  /// sizes and the options, shared by both modes.
+  struct Plan {
+    std::vector<int64_t> perm;          // stream position -> row; empty => identity
+    std::vector<size_t> chunk_order;    // reordered position -> table chunk
+    std::vector<int64_t> chunk_starts;  // rows before each reordered chunk, + total
+    std::vector<int64_t> batch_starts;  // serial bounds, num_batches + 1
+  };
   struct Stream;
 
-  void InitStreaming(const Table& table, const MiniBatchOptions& options);
-  std::shared_ptr<const Chunk> MaterializeBatch(int i) const;
+  /// Rows of batch i with their serials, gathered chunk by chunk from
+  /// `table` (through its ColumnSource when the table is streamed).
+  Chunk GatherBatch(int i, const Table& table) const;
   std::shared_ptr<const Chunk> FetchBatch(int i, bool record_hit_miss) const;
   void PrefetchLoop();
 
+  Plan plan_;
   std::vector<Chunk> batches_;  // eager mode only
   std::unique_ptr<Stream> stream_;
   int64_t total_rows_ = 0;

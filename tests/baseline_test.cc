@@ -8,6 +8,7 @@
 #include "baseline/naive_ola.h"
 #include "common/random.h"
 #include "gola/gola.h"
+#include "test_util.h"
 
 namespace gola {
 namespace {
@@ -35,17 +36,6 @@ class BaselineTest : public ::testing::Test {
     GOLA_CHECK_OK(engine_.RegisterTable("data", MakeData(3000, 11)));
   }
 
-  void ExpectMatch(const Table& a, const Table& b) {
-    ASSERT_EQ(a.num_rows(), b.num_rows());
-    for (int64_t r = 0; r < b.num_rows(); ++r) {
-      for (size_t c = 0; c < b.schema()->num_fields(); ++c) {
-        double da = a.At(r, static_cast<int>(c)).ToDouble().ValueOr(1e100);
-        double db = b.At(r, static_cast<int>(c)).ToDouble().ValueOr(-1e100);
-        EXPECT_NEAR(da, db, 1e-9 * (1 + std::fabs(db)));
-      }
-    }
-  }
-
   Engine engine_;
 };
 
@@ -70,13 +60,13 @@ TEST_F(BaselineTest, CdmMatchesBatchOnEveryPrefix) {
     auto update = (*cdm)->Step();
     ASSERT_TRUE(update.ok()) << update.status().ToString();
     int64_t rows = 0;
-    auto prefix = partitioner.BatchesUpTo(update->batch_index);
-    for (auto* c : prefix) rows += static_cast<int64_t>(c->num_rows());
+    auto prefix = partitioner.BatchesSharedUpTo(update->batch_index);
+    for (const auto& c : prefix) rows += static_cast<int64_t>(c->num_rows());
     BatchExecOptions bopts;
     bopts.scale = static_cast<double>(table->num_rows()) / static_cast<double>(rows);
     auto expected = batch.ExecuteOnChunks(*query, "data", prefix, bopts);
     ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-    ExpectMatch(update->result, *expected);
+    EXPECT_TRUE(test::TablesEqual(update->result, *expected, 1e-9));
   }
 }
 
@@ -99,14 +89,14 @@ TEST_F(BaselineTest, NaiveOlaMatchesBatchOnEveryPrefix) {
   while (!(*naive)->done()) {
     auto update = (*naive)->Step();
     ASSERT_TRUE(update.ok()) << update.status().ToString();
-    auto prefix = partitioner.BatchesUpTo(update->batch_index);
+    auto prefix = partitioner.BatchesSharedUpTo(update->batch_index);
     int64_t rows = 0;
-    for (auto* c : prefix) rows += static_cast<int64_t>(c->num_rows());
+    for (const auto& c : prefix) rows += static_cast<int64_t>(c->num_rows());
     BatchExecOptions bopts;
     bopts.scale = static_cast<double>(table->num_rows()) / static_cast<double>(rows);
     auto expected = batch.ExecuteOnChunks(*query, "data", prefix, bopts);
     ASSERT_TRUE(expected.ok());
-    ExpectMatch(update->result, *expected);
+    EXPECT_TRUE(test::TablesEqual(update->result, *expected, 1e-9));
   }
 }
 

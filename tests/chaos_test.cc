@@ -12,9 +12,9 @@
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "common/random.h"
-#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "gola/gola.h"
+#include "test_util.h"
 
 namespace gola {
 namespace {
@@ -56,43 +56,13 @@ const char* kWorkload[] = {
     "GROUP BY g1 ORDER BY g1",
 };
 
-struct RunResult {
-  std::vector<Table> results;
-  std::vector<int64_t> uncertain;
-  int recomputes = 0;
-};
-
-RunResult RunQuery(Engine* engine, const std::string& sql,
-                   const GolaOptions& opts) {
-  RunResult out;
+std::vector<OnlineUpdate> RunQuery(Engine* engine, const std::string& sql,
+                                   const GolaOptions& opts) {
   auto online = engine->ExecuteOnline(sql, opts);
   GOLA_CHECK_OK(online.status());
-  while (!(*online)->done()) {
-    auto update = (*online)->Step();
-    GOLA_CHECK_OK(update.status());
-    out.results.push_back(std::move(update->result));
-    out.uncertain.push_back(update->uncertain_tuples);
-  }
-  out.recomputes = (*online)->recomputes();
-  return out;
-}
-
-void ExpectIdentical(const RunResult& got, const RunResult& want,
-                     const std::string& sql) {
-  ASSERT_EQ(got.results.size(), want.results.size()) << sql;
-  ASSERT_EQ(got.uncertain, want.uncertain) << sql;
-  for (size_t u = 0; u < want.results.size(); ++u) {
-    const Table& g = got.results[u];
-    const Table& w = want.results[u];
-    ASSERT_EQ(g.num_rows(), w.num_rows()) << sql << " @update " << u;
-    for (int64_t r = 0; r < w.num_rows(); ++r) {
-      for (size_t c = 0; c < w.schema()->num_fields(); ++c) {
-        ASSERT_TRUE(g.At(r, static_cast<int>(c)) == w.At(r, static_cast<int>(c)))
-            << sql << " @update " << u << " row " << r << " col "
-            << w.schema()->field(c).name;
-      }
-    }
-  }
+  auto updates = test::Drain(online->get());
+  GOLA_CHECK_OK(updates.status());
+  return *updates;
 }
 
 class ChaosTest : public ::testing::Test {
@@ -126,18 +96,18 @@ TEST_F(ChaosTest, WorkloadIsBitIdenticalUnderInjectedFaults) {
     opts.pool = &pool;
 
     fail::DisarmAll();
-    RunResult clean = RunQuery(&engine_, sql, opts);
+    std::vector<OnlineUpdate> clean = RunQuery(&engine_, sql, opts);
 
     fail::SetSeed(500 + q);
     GOLA_CHECK_OK(fail::Configure(
         "exec.morsel=prob(0.02),threadpool.task=prob(0.02),"
         "bootstrap.replicate=prob(0.01)"));
-    RunResult chaotic = RunQuery(&engine_, sql, opts);
+    std::vector<OnlineUpdate> chaotic = RunQuery(&engine_, sql, opts);
     total_fires += fail::Fires("exec.morsel") + fail::Fires("threadpool.task") +
                    fail::Fires("bootstrap.replicate");
     fail::DisarmAll();
 
-    ExpectIdentical(chaotic, clean, sql);
+    EXPECT_TRUE(test::StreamsEqual(chaotic, clean));
   }
   EXPECT_GT(total_fires, 0)
       << "chaos run never injected a fault — probabilities too low for the "
@@ -159,41 +129,25 @@ TEST_F(ChaosTest, ForcedRebuildsAcrossTheWorkloadStayCorrect) {
     opts.retry_backoff_ms = 0;
 
     fail::DisarmAll();
-    RunResult clean = RunQuery(&engine_, sql, opts);
+    std::vector<OnlineUpdate> clean = RunQuery(&engine_, sql, opts);
     // Clean runs at this scale are recompute-free, so final answers with and
     // without the forced rebuild coming out identical is a real statement
     // about Rebuild correctness, not an accident of matching schedules.
-    ASSERT_EQ(clean.recomputes, 0) << sql;
+    ASSERT_EQ(clean.back().recomputes_so_far, 0) << sql;
 
     GOLA_CHECK_OK(fail::Arm("gola.check_envelopes", "nth(3)"));
     GOLA_CHECK_OK(fail::Arm("gola.rebuild", "once"));
-    RunResult forced = RunQuery(&engine_, sql, opts);
+    std::vector<OnlineUpdate> forced = RunQuery(&engine_, sql, opts);
     fail::DisarmAll();
 
-    EXPECT_GT(forced.recomputes, 0) << sql;
+    ASSERT_FALSE(forced.empty());
+    EXPECT_GT(forced.back().recomputes_so_far, 0) << sql;
     // A rebuild re-installs classification envelopes at a different batch
     // than the clean run, so the deterministic/uncertain split — and with it
     // the replicate state behind the CI companion cells (_lo/_hi/_rsd) —
     // legitimately diverges. The converged *estimates* must still be exact.
-    ASSERT_FALSE(forced.results.empty());
-    const Table& g = forced.results.back();
-    const Table& w = clean.results.back();
-    ASSERT_EQ(g.num_rows(), w.num_rows()) << sql;
-    auto is_ci_companion = [](const std::string& name) {
-      auto ends_with = [&](const char* suffix) {
-        std::string s(suffix);
-        return name.size() > s.size() &&
-               name.compare(name.size() - s.size(), s.size(), s) == 0;
-      };
-      return ends_with("_lo") || ends_with("_hi") || ends_with("_rsd");
-    };
-    for (int64_t r = 0; r < w.num_rows(); ++r) {
-      for (size_t c = 0; c < w.schema()->num_fields(); ++c) {
-        if (is_ci_companion(w.schema()->field(c).name)) continue;
-        ASSERT_TRUE(g.At(r, static_cast<int>(c)) == w.At(r, static_cast<int>(c)))
-            << sql << " row " << r << " col " << w.schema()->field(c).name;
-      }
-    }
+    EXPECT_TRUE(test::TablesEqual(test::EstimateColumns(forced.back().result),
+                                  test::EstimateColumns(clean.back().result)));
   }
 }
 

@@ -18,6 +18,7 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "gola/gola.h"
+#include "test_util.h"
 
 namespace gola {
 namespace {
@@ -45,19 +46,6 @@ constexpr const char* kQuery =
     "WHERE b > 0.95 * (SELECT AVG(b) FROM d u WHERE u.g1 = d.g1) "
     "GROUP BY g1 ORDER BY g1";
 
-void ExpectTablesIdentical(const Table& got, const Table& want,
-                           const std::string& what) {
-  ASSERT_EQ(got.num_rows(), want.num_rows()) << what;
-  for (int64_t r = 0; r < want.num_rows(); ++r) {
-    for (size_t c = 0; c < want.schema()->num_fields(); ++c) {
-      ASSERT_TRUE(got.At(r, static_cast<int>(c)) ==
-                  want.At(r, static_cast<int>(c)))
-          << what << " differs at row " << r << " col "
-          << want.schema()->field(c).name;
-    }
-  }
-}
-
 class CheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -81,15 +69,11 @@ class CheckpointTest : public ::testing::Test {
 
   /// Runs kQuery to completion from scratch, collecting every update.
   std::vector<OnlineUpdate> RunClean(const GolaOptions& opts) {
-    std::vector<OnlineUpdate> updates;
     auto online = engine_.ExecuteOnline(kQuery, opts);
     GOLA_CHECK_OK(online.status());
-    while (!(*online)->done()) {
-      auto update = (*online)->Step();
-      GOLA_CHECK_OK(update.status());
-      updates.push_back(std::move(*update));
-    }
-    return updates;
+    auto updates = test::Drain(online->get());
+    GOLA_CHECK_OK(updates.status());
+    return *updates;
   }
 
   Engine engine_;
@@ -114,20 +98,10 @@ TEST_F(CheckpointTest, ResumeMidQueryIsBitIdenticalToUninterruptedRun) {
   EXPECT_EQ((*resumed)->batches_processed(), 3);
   EXPECT_FALSE((*resumed)->done());
 
-  std::vector<OnlineUpdate> tail;
-  while (!(*resumed)->done()) {
-    auto update = (*resumed)->Step();
-    GOLA_CHECK_OK(update.status());
-    tail.push_back(std::move(*update));
-  }
-  ASSERT_EQ(tail.size(), clean.size() - 3);
-  for (size_t i = 0; i < tail.size(); ++i) {
-    EXPECT_EQ(tail[i].batch_index, clean[i + 3].batch_index);
-    EXPECT_EQ(tail[i].uncertain_tuples, clean[i + 3].uncertain_tuples);
-    EXPECT_EQ(tail[i].max_rsd, clean[i + 3].max_rsd);
-    ExpectTablesIdentical(tail[i].result, clean[i + 3].result,
-                          Format("resumed update %zu", i));
-  }
+  auto tail = test::Drain(resumed->get());
+  GOLA_CHECK_OK(tail.status());
+  EXPECT_TRUE(test::StreamsEqual(
+      *tail, std::vector<OnlineUpdate>(clean.begin() + 3, clean.end())));
 }
 
 TEST_F(CheckpointTest, CheckpointAfterEveryBatchResumesFromAnyOfThem) {
@@ -149,8 +123,8 @@ TEST_F(CheckpointTest, CheckpointAfterEveryBatchResumesFromAnyOfThem) {
       GOLA_CHECK_OK(update.status());
       last = std::move(*update);
     }
-    ExpectTablesIdentical(last.result, clean.back().result,
-                          Format("final answer resumed from batch %d", cut));
+    EXPECT_TRUE(test::TablesEqual(last.result, clean.back().result))
+        << Format("final answer resumed from batch %d", cut);
   }
 }
 
@@ -375,8 +349,8 @@ TEST_F(CheckpointTest, SigkilledProcessResumesToTheIdenticalAnswer) {
     GOLA_CHECK_OK(update.status());
     last = std::move(*update);
   }
-  ExpectTablesIdentical(last.result, clean.back().result,
-                        "final answer after SIGKILL + resume");
+  EXPECT_TRUE(test::TablesEqual(last.result, clean.back().result))
+      << "final answer after SIGKILL + resume";
 }
 
 }  // namespace

@@ -6,10 +6,10 @@
 //      maintenance must be semantically invisible).
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "common/random.h"
+#include "common/stopwatch.h"
 #include "gola/gola.h"
+#include "test_util.h"
 
 namespace gola {
 namespace {
@@ -62,30 +62,6 @@ class OnlineEngineTest : public ::testing::Test {
     options_.seed = 123;
   }
 
-  /// Expects two result tables to agree cell-wise on the shared columns
-  /// (the online table carries extra _lo/_hi/_rsd columns).
-  void ExpectResultsMatch(const Table& online, const Table& exact, double tol) {
-    ASSERT_EQ(online.num_rows(), exact.num_rows());
-    for (int64_t r = 0; r < exact.num_rows(); ++r) {
-      for (size_t c = 0; c < exact.schema()->num_fields(); ++c) {
-        Value a = online.At(r, static_cast<int>(c));
-        Value b = exact.At(r, static_cast<int>(c));
-        if (b.is_null()) {
-          EXPECT_TRUE(a.is_null());
-          continue;
-        }
-        if (IsNumeric(b.type())) {
-          double da = a.ToDouble().ValueOr(1e100);
-          double db = b.ToDouble().ValueOr(-1e100);
-          EXPECT_NEAR(da, db, tol * (1.0 + std::fabs(db)))
-              << "row " << r << " col " << c;
-        } else {
-          EXPECT_TRUE(a == b) << "row " << r << " col " << c;
-        }
-      }
-    }
-  }
-
   Engine engine_;
   GolaOptions options_;
 };
@@ -97,7 +73,7 @@ TEST_F(OnlineEngineTest, SbiExactAtConvergence) {
   ASSERT_TRUE(last.ok()) << last.status().ToString();
   auto exact = engine_.ExecuteBatch(kSbi);
   ASSERT_TRUE(exact.ok()) << exact.status().ToString();
-  ExpectResultsMatch(last->result, *exact, 1e-9);
+  EXPECT_TRUE(test::TablesEqual(last->result, *exact, 1e-9));
   // The uncertain set need not be empty at the end — the bootstrap
   // replicates keep non-zero spread even over the full data — but it must
   // be a small residue around the predicate threshold.
@@ -125,9 +101,9 @@ TEST_F(OnlineEngineTest, SbiPerBatchEquivalence) {
     BatchExecOptions bopts;
     bopts.scale = update->scale;
     auto reference = batch_exec.ExecuteOnChunks(
-        *compiled, "sessions", partitioner.BatchesUpTo(update->batch_index), bopts);
+        *compiled, "sessions", partitioner.BatchesSharedUpTo(update->batch_index), bopts);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    ExpectResultsMatch(update->result, *reference, 1e-9);
+    EXPECT_TRUE(test::TablesEqual(update->result, *reference, 1e-9));
   }
 }
 
@@ -138,7 +114,7 @@ TEST_F(OnlineEngineTest, CorrelatedExactAtConvergence) {
   ASSERT_TRUE(last.ok()) << last.status().ToString();
   auto exact = engine_.ExecuteBatch(kCorrelated);
   ASSERT_TRUE(exact.ok()) << exact.status().ToString();
-  ExpectResultsMatch(last->result, *exact, 1e-9);
+  EXPECT_TRUE(test::TablesEqual(last->result, *exact, 1e-9));
 }
 
 TEST_F(OnlineEngineTest, MembershipExactAtConvergence) {
@@ -148,7 +124,7 @@ TEST_F(OnlineEngineTest, MembershipExactAtConvergence) {
   ASSERT_TRUE(last.ok()) << last.status().ToString();
   auto exact = engine_.ExecuteBatch(kMembership);
   ASSERT_TRUE(exact.ok()) << exact.status().ToString();
-  ExpectResultsMatch(last->result, *exact, 1e-9);
+  EXPECT_TRUE(test::TablesEqual(last->result, *exact, 1e-9));
 }
 
 TEST_F(OnlineEngineTest, GroupHavingExactAtConvergence) {
@@ -158,7 +134,7 @@ TEST_F(OnlineEngineTest, GroupHavingExactAtConvergence) {
   ASSERT_TRUE(last.ok()) << last.status().ToString();
   auto exact = engine_.ExecuteBatch(kGroupHaving);
   ASSERT_TRUE(exact.ok()) << exact.status().ToString();
-  ExpectResultsMatch(last->result, *exact, 1e-9);
+  EXPECT_TRUE(test::TablesEqual(last->result, *exact, 1e-9));
 }
 
 TEST_F(OnlineEngineTest, RsdDecreasesOverBatches) {
@@ -188,7 +164,7 @@ TEST_F(OnlineEngineTest, TinyEpsilonStillExactViaRecompute) {
   ASSERT_TRUE(last.ok()) << last.status().ToString();
   auto exact = engine_.ExecuteBatch(kSbi);
   ASSERT_TRUE(exact.ok());
-  ExpectResultsMatch(last->result, *exact, 1e-9);
+  EXPECT_TRUE(test::TablesEqual(last->result, *exact, 1e-9));
 }
 
 TEST_F(OnlineEngineTest, UncertainSetSmallFractionOfData) {
@@ -211,6 +187,34 @@ TEST_F(OnlineEngineTest, NonAggregateQueryRejectedOnline) {
   auto online = engine_.ExecuteOnline("SELECT play_time FROM sessions", options_);
   ASSERT_FALSE(online.ok());
   EXPECT_EQ(online.status().code(), StatusCode::kNotImplemented);
+}
+
+TEST(OnlineElapsedTest, FirstUpdateCountsThePartitionerBuild) {
+  // 400k in-memory rows over 100 batches: the eager partitioner build in
+  // Prepare (a permutation plus every batch's gather) dwarfs folding the
+  // first 4k-row batch, so an elapsed_seconds without it would cover only
+  // a sliver of the time a caller waits for the first answer.
+  TableBuilder builder(
+      std::make_shared<Schema>(std::vector<Field>{{"x", TypeId::kFloat64}}));
+  for (int64_t i = 0; i < 400'000; ++i) {
+    builder.column(0).AppendFloat(static_cast<double>(i % 1000));
+    builder.CommitRow();
+  }
+  Engine engine;
+  GOLA_CHECK_OK(engine.RegisterTable("t", builder.Finish()));
+  GolaOptions opts;
+  opts.num_batches = 100;
+  opts.bootstrap_replicates = 10;
+
+  Stopwatch wall;
+  auto online = engine.ExecuteOnline("SELECT AVG(x) AS m FROM t", opts);
+  ASSERT_TRUE(online.ok()) << online.status().ToString();
+  auto first = (*online)->Step();
+  const double waited = wall.ElapsedSeconds();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_GE(first->elapsed_seconds, 0.5 * waited)
+      << "batch_seconds " << first->batch_seconds;
+  EXPECT_LE(first->elapsed_seconds, waited);
 }
 
 }  // namespace

@@ -31,9 +31,9 @@ TEST(PartitionerTest, EveryRowExactlyOnce) {
   MiniBatchPartitioner p(t, opts);
   std::multiset<int64_t> ids;
   for (int b = 0; b < p.num_batches(); ++b) {
-    const Chunk& batch = p.batch(b);
-    for (size_t i = 0; i < batch.num_rows(); ++i) {
-      ids.insert(batch.column(0).GetValue(i).AsInt());
+    auto batch = p.BatchShared(b);
+    for (size_t i = 0; i < batch->num_rows(); ++i) {
+      ids.insert(batch->column(0).GetValue(i).AsInt());
     }
   }
   ASSERT_EQ(ids.size(), 1000u);
@@ -48,7 +48,7 @@ TEST(PartitionerTest, SerialsAreStreamPositions) {
   MiniBatchPartitioner p(t, opts);
   int64_t expected = 0;
   for (int b = 0; b < p.num_batches(); ++b) {
-    for (int64_t s : p.batch(b).serials()) EXPECT_EQ(s, expected++);
+    for (int64_t s : p.BatchShared(b)->serials()) EXPECT_EQ(s, expected++);
   }
   EXPECT_EQ(expected, 100);
 }
@@ -59,8 +59,8 @@ TEST(PartitionerTest, BatchesNearUniform) {
   opts.num_batches = 10;
   MiniBatchPartitioner p(t, opts);
   ASSERT_EQ(p.num_batches(), 10);
-  for (int b = 0; b < 9; ++b) EXPECT_EQ(p.batch(b).num_rows(), 10u);
-  EXPECT_EQ(p.batch(9).num_rows(), 13u);  // remainder absorbed by the last
+  for (int b = 0; b < 9; ++b) EXPECT_EQ(p.BatchShared(b)->num_rows(), 10u);
+  EXPECT_EQ(p.BatchShared(9)->num_rows(), 13u);  // remainder absorbed by the last
 }
 
 TEST(PartitionerTest, DeterministicGivenSeed) {
@@ -70,16 +70,18 @@ TEST(PartitionerTest, DeterministicGivenSeed) {
   opts.seed = 77;
   MiniBatchPartitioner a(t, opts), b(t, opts);
   for (int i = 0; i < 5; ++i) {
-    ASSERT_EQ(a.batch(i).num_rows(), b.batch(i).num_rows());
-    for (size_t r = 0; r < a.batch(i).num_rows(); ++r) {
-      EXPECT_EQ(a.batch(i).column(0).GetValue(r), b.batch(i).column(0).GetValue(r));
+    auto ba = a.BatchShared(i), bb = b.BatchShared(i);
+    ASSERT_EQ(ba->num_rows(), bb->num_rows());
+    for (size_t r = 0; r < ba->num_rows(); ++r) {
+      EXPECT_EQ(ba->column(0).GetValue(r), bb->column(0).GetValue(r));
     }
   }
   opts.seed = 78;
   MiniBatchPartitioner c(t, opts);
   bool any_diff = false;
-  for (size_t r = 0; r < a.batch(0).num_rows(); ++r) {
-    if (!(a.batch(0).column(0).GetValue(r) == c.batch(0).column(0).GetValue(r))) {
+  auto a0 = a.BatchShared(0), c0 = c.BatchShared(0);
+  for (size_t r = 0; r < a0->num_rows(); ++r) {
+    if (!(a0->column(0).GetValue(r) == c0->column(0).GetValue(r))) {
       any_diff = true;
     }
   }
@@ -94,10 +96,10 @@ TEST(PartitionerTest, PrefixIsUnbiasedSample) {
   opts.num_batches = 10;
   opts.seed = 5;
   MiniBatchPartitioner p(t, opts);
-  const Chunk& first = p.batch(0);
+  auto first = p.BatchShared(0);
   double sum = 0;
-  for (size_t i = 0; i < first.num_rows(); ++i) sum += first.column(1).NumericAt(i);
-  double mean = sum / static_cast<double>(first.num_rows());
+  for (size_t i = 0; i < first->num_rows(); ++i) sum += first->column(1).NumericAt(i);
+  double mean = sum / static_cast<double>(first->num_rows());
   EXPECT_NEAR(mean, 4999.5, 4 * 91.0);
 }
 
@@ -110,11 +112,11 @@ TEST(PartitionerTest, PartitionWiseModeKeepsChunksIntact) {
   // Without row shuffling, each batch is one original chunk: its ids are 10
   // consecutive integers (in some chunk order).
   for (int b = 0; b < p.num_batches(); ++b) {
-    const Chunk& batch = p.batch(b);
-    ASSERT_EQ(batch.num_rows(), 10u);
-    int64_t base = batch.column(0).GetValue(0).AsInt();
+    auto batch = p.BatchShared(b);
+    ASSERT_EQ(batch->num_rows(), 10u);
+    int64_t base = batch->column(0).GetValue(0).AsInt();
     for (size_t i = 0; i < 10; ++i) {
-      EXPECT_EQ(batch.column(0).GetValue(i).AsInt(), base + static_cast<int64_t>(i));
+      EXPECT_EQ(batch->column(0).GetValue(i).AsInt(), base + static_cast<int64_t>(i));
     }
   }
 }

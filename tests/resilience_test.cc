@@ -13,9 +13,9 @@
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "common/random.h"
-#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "gola/gola.h"
+#include "test_util.h"
 
 namespace gola {
 namespace {
@@ -40,20 +40,6 @@ constexpr const char* kQuery =
     "SELECT g1, AVG(a) AS m, COUNT(*) AS n FROM d d "
     "WHERE b > 0.9 * (SELECT AVG(b) FROM d) GROUP BY g1 ORDER BY g1";
 
-void ExpectTablesIdentical(const Table& got, const Table& want,
-                           const std::string& what) {
-  ASSERT_EQ(got.num_rows(), want.num_rows()) << what;
-  ASSERT_TRUE(got.schema()->Equals(*want.schema())) << what;
-  for (int64_t r = 0; r < want.num_rows(); ++r) {
-    for (size_t c = 0; c < want.schema()->num_fields(); ++c) {
-      ASSERT_TRUE(got.At(r, static_cast<int>(c)) ==
-                  want.At(r, static_cast<int>(c)))
-          << what << " differs at row " << r << " col "
-          << want.schema()->field(c).name;
-    }
-  }
-}
-
 class ResilienceTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -64,15 +50,11 @@ class ResilienceTest : public ::testing::Test {
 
   /// Runs kQuery to completion, returning every per-batch update.
   std::vector<OnlineUpdate> RunAll(const GolaOptions& opts) {
-    std::vector<OnlineUpdate> updates;
     auto online = engine_.ExecuteOnline(kQuery, opts);
     GOLA_CHECK_OK(online.status());
-    while (!(*online)->done()) {
-      auto update = (*online)->Step();
-      GOLA_CHECK_OK(update.status());
-      updates.push_back(std::move(*update));
-    }
-    return updates;
+    auto updates = test::Drain(online->get());
+    GOLA_CHECK_OK(updates.status());
+    return *updates;
   }
 
   GolaOptions BaseOptions() {
@@ -102,13 +84,7 @@ TEST_F(ResilienceTest, MorselRetryReproducesBitIdenticalUpdates) {
   fail::DisarmAll();
 
   EXPECT_GT(fires, 0) << "p=0.3 over every morsel should have fired";
-  ASSERT_EQ(faulty.size(), clean.size());
-  for (size_t i = 0; i < clean.size(); ++i) {
-    ExpectTablesIdentical(faulty[i].result, clean[i].result,
-                          Format("update %zu", i));
-    EXPECT_EQ(faulty[i].uncertain_tuples, clean[i].uncertain_tuples);
-    EXPECT_EQ(faulty[i].max_rsd, clean[i].max_rsd);
-  }
+  EXPECT_TRUE(test::StreamsEqual(faulty, clean));
 }
 
 TEST_F(ResilienceTest, ForcedEnvelopeFailureRecoversViaRebuild) {
@@ -126,8 +102,8 @@ TEST_F(ResilienceTest, ForcedEnvelopeFailureRecoversViaRebuild) {
   ASSERT_EQ(recovered.size(), clean.size());
   EXPECT_GT(recovered.back().recomputes_so_far, 0)
       << "the injected range failure must have triggered a rebuild";
-  ExpectTablesIdentical(recovered.back().result, clean.back().result,
-                        "final update after forced rebuild");
+  EXPECT_TRUE(test::TablesEqual(recovered.back().result, clean.back().result))
+      << "final update after forced rebuild";
 }
 
 TEST_F(ResilienceTest, RebuildFaultIsRetriedToTheSameAnswer) {
@@ -144,8 +120,8 @@ TEST_F(ResilienceTest, RebuildFaultIsRetriedToTheSameAnswer) {
   fail::DisarmAll();
 
   EXPECT_EQ(rebuild_fires, 1);
-  ExpectTablesIdentical(recovered.back().result, clean.back().result,
-                        "final update after faulted rebuild");
+  EXPECT_TRUE(test::TablesEqual(recovered.back().result, clean.back().result))
+      << "final update after faulted rebuild";
 }
 
 TEST_F(ResilienceTest, ThreadPoolTaskFaultsAreRetriedBitIdentically) {
@@ -161,11 +137,7 @@ TEST_F(ResilienceTest, ThreadPoolTaskFaultsAreRetriedBitIdentically) {
   fail::DisarmAll();
 
   EXPECT_GT(fires, 0);
-  ASSERT_EQ(faulty.size(), clean.size());
-  for (size_t i = 0; i < clean.size(); ++i) {
-    ExpectTablesIdentical(faulty[i].result, clean[i].result,
-                          Format("pooled update %zu", i));
-  }
+  EXPECT_TRUE(test::StreamsEqual(faulty, clean));
 }
 
 TEST_F(ResilienceTest, BootstrapReplicateFaultsAreRetriedBitIdentically) {
@@ -178,10 +150,7 @@ TEST_F(ResilienceTest, BootstrapReplicateFaultsAreRetriedBitIdentically) {
   fail::DisarmAll();
 
   EXPECT_EQ(fires, 1);
-  for (size_t i = 0; i < clean.size(); ++i) {
-    ExpectTablesIdentical(faulty[i].result, clean[i].result,
-                          Format("update %zu", i));
-  }
+  EXPECT_TRUE(test::StreamsEqual(faulty, clean));
 }
 
 TEST_F(ResilienceTest, RetryExhaustionSurfacesTheInjectedError) {

@@ -3,19 +3,24 @@
 // metadata, gather equivalence, and a corruption property — any truncation
 // or bit flip must either fail loudly at open/read time or leave the data
 // bit-identical to the original. Silent wrong answers are the only failure.
+// Also checks that the encoded fast paths (zone pruning, dictionary-code
+// predicates, RLE folds) engage through the engine with results identical
+// to the in-memory table.
 #include "storage/segment/segment.h"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <limits>
 
 #include "common/random.h"
 #include "common/string_util.h"
+#include "gola/gola.h"
+#include "obs/metrics.h"
 #include "storage/segment/encoding.h"
+#include "test_util.h"
+#include "workload/conviva_gen.h"
 
 namespace gola {
 namespace {
@@ -27,38 +32,13 @@ class SegmentTest : public ::testing::Test {
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
-  static void ExpectTablesBitIdentical(const Table& a, const Table& b) {
-    ASSERT_TRUE(a.schema()->Equals(*b.schema()));
-    ASSERT_EQ(a.num_rows(), b.num_rows());
-    for (int64_t r = 0; r < a.num_rows(); ++r) {
-      for (size_t c = 0; c < a.schema()->num_fields(); ++c) {
-        Value va = a.At(r, static_cast<int>(c));
-        Value vb = b.At(r, static_cast<int>(c));
-        if (va.is_null() || vb.is_null()) {
-          ASSERT_TRUE(va.is_null() && vb.is_null())
-              << "row " << r << " col " << c;
-          continue;
-        }
-        if (a.schema()->field(c).type == TypeId::kFloat64) {
-          // Bit-pattern comparison so NaN and -0.0 count as round-tripped.
-          double da = *va.ToDouble();
-          double db = *vb.ToDouble();
-          ASSERT_EQ(std::memcmp(&da, &db, sizeof(double)), 0)
-              << "row " << r << " col " << c << ": " << da << " vs " << db;
-          continue;
-        }
-        ASSERT_TRUE(va == vb) << "row " << r << " col " << c;
-      }
-    }
-  }
-
   void RoundTrip(const Table& original) {
     ASSERT_TRUE(WriteSegmentFile(original, path_).ok());
     auto loaded = OpenSegmentTable(path_);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     ASSERT_TRUE((*loaded)->streamed());
     EXPECT_EQ((*loaded)->num_rows(), original.num_rows());
-    ExpectTablesBitIdentical(original, **loaded);
+    EXPECT_TRUE(test::TablesEqual(**loaded, original));
     // Chunk structure is part of the contract (bit-identical partitioning
     // depends on it).
     EXPECT_EQ((*loaded)->num_chunks(), original.num_chunks());
@@ -98,7 +78,7 @@ Value MakeCell(const MatrixCase& m, Rng* rng, int64_t i) {
       break;
     case NullPattern::kNone: break;
   }
-  int64_t v;
+  int64_t v = 0;
   switch (m.dist) {
     case Distribution::kConstant: v = 7; break;
     case Distribution::kSmallRange: v = static_cast<int64_t>(rng->NextBelow(20)); break;
@@ -112,6 +92,8 @@ Value MakeCell(const MatrixCase& m, Rng* rng, int64_t i) {
     case TypeId::kFloat64: return Value::Float(static_cast<double>(v) * 1.25);
     case TypeId::kString:
       return Value::String(Format("s%lld", static_cast<long long>(v % 64)));
+    case TypeId::kNull:
+      break;
   }
   (void)i;
   return Value::Null();
@@ -345,7 +327,7 @@ class SegmentCorruptionTest : public SegmentTest {
     Rewrite(tampered);
     Table decoded;
     if (!TryReadAll(path_, &decoded)) return 0;
-    ExpectTablesBitIdentical(reference_, decoded);
+    EXPECT_TRUE(test::TablesEqual(decoded, reference_));
     return 1;
   }
 
@@ -405,6 +387,94 @@ TEST_F(SegmentCorruptionTest, WrongMagicRejected) {
   tampered.replace(0, 8, "NOTASEG!");
   Rewrite(tampered);
   EXPECT_FALSE(SegmentFile::Open(path_).ok());
+}
+
+// ----------------------------------------------- fast paths do engage --
+
+int64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Global().GetCounter(name)->Value();
+}
+
+TEST(SegmentFastPathTest, ZonePruningEngagesAndPreservesResults) {
+  // start_hour lives in [0, 24); a selective predicate on a clustered-ish
+  // column plus small chunks gives the zone maps something to prune.
+  ConvivaGenOptions gen;
+  gen.num_rows = 4000;
+  gen.chunk_size = 250;
+  Table table = GenerateConviva(gen);
+  std::string path = ::testing::TempDir() + "/seg_prune.gseg";
+  GOLA_CHECK_OK(WriteSegmentFile(table, path));
+
+  Engine vectors;
+  GOLA_CHECK_OK(vectors.RegisterTable("conviva", std::move(table)));
+  Engine segments;
+  GOLA_CHECK_OK(segments.RegisterSegmentTable("conviva", path));
+
+  // session_id is monotone, so chunk zones partition its range: a range
+  // predicate on it must prune most chunks.
+  const std::string sql =
+      "SELECT COUNT(*) AS n, AVG(play_time) AS p FROM conviva "
+      "WHERE session_id <= 300";
+  int64_t pruned_before = CounterValue("gola_segment_chunks_pruned_total");
+  auto expect = vectors.ExecuteBatch(sql, {});
+  ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+  auto got = segments.ExecuteBatch(sql, {});
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(test::TablesEqual(*got, *expect)) << "pruned scan";
+  if (obs::MetricsEnabled()) {
+    EXPECT_GT(CounterValue("gola_segment_chunks_pruned_total"), pruned_before)
+        << "zone pruning never engaged";
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SegmentFastPathTest, EncodedPredicateAndRleFoldEngage) {
+  // geo is a low-cardinality string → dictionary codes; a single-group SUM
+  // over an RLE-able int column exercises the run fold.
+  auto schema = std::make_shared<Schema>(std::vector<Field>{
+      {"geo", TypeId::kString}, {"qty", TypeId::kInt64}});
+  TableBuilder builder(schema, 512);
+  Rng rng(3);
+  const char* geos[] = {"US", "DE", "JP", "BR"};
+  for (int64_t i = 0; i < 4000; ++i) {
+    builder.AppendRow({Value::String(geos[rng.NextBelow(4)]),
+                       Value::Int((i / 97) % 50)});
+  }
+  Table table = builder.Finish();
+  std::string path = ::testing::TempDir() + "/seg_fastpath.gseg";
+  GOLA_CHECK_OK(WriteSegmentFile(table, path));
+
+  Engine vectors;
+  GOLA_CHECK_OK(vectors.RegisterTable("t", std::move(table)));
+  Engine segments;
+  GOLA_CHECK_OK(segments.RegisterSegmentTable("t", path));
+
+  const std::string sql =
+      "SELECT SUM(qty) AS s, COUNT(*) AS n, AVG(qty) AS a FROM t "
+      "WHERE geo = 'US'";
+  int64_t enc_before = CounterValue("gola_kernel_encoded_predicate_total");
+  auto expect = vectors.ExecuteBatch(sql, {});
+  ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+  auto got = segments.ExecuteBatch(sql, {});
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(test::TablesEqual(*got, *expect)) << "encoded predicate";
+  if (obs::MetricsEnabled()) {
+    EXPECT_GT(CounterValue("gola_kernel_encoded_predicate_total"), enc_before)
+        << "dictionary predicate fast path never engaged";
+  }
+
+  const std::string fold_sql = "SELECT SUM(qty) AS s, COUNT(*) AS n FROM t";
+  int64_t fold_before = CounterValue("gola_kernel_encoded_sum_folds_total");
+  auto e2 = vectors.ExecuteBatch(fold_sql, {});
+  ASSERT_TRUE(e2.ok());
+  auto g2 = segments.ExecuteBatch(fold_sql, {});
+  ASSERT_TRUE(g2.ok());
+  EXPECT_TRUE(test::TablesEqual(*g2, *e2)) << "rle fold";
+  if (obs::MetricsEnabled()) {
+    EXPECT_GT(CounterValue("gola_kernel_encoded_sum_folds_total"), fold_before)
+        << "RLE sum fold never engaged";
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

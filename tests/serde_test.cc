@@ -9,6 +9,7 @@
 
 #include "common/random.h"
 #include "common/string_util.h"
+#include "test_util.h"
 
 namespace gola {
 namespace {
@@ -35,19 +36,6 @@ class SerdeTest : public ::testing::Test {
     return builder.Finish();
   }
 
-  void ExpectTablesEqual(const Table& a, const Table& b) {
-    ASSERT_TRUE(a.schema()->Equals(*b.schema()));
-    ASSERT_EQ(a.num_rows(), b.num_rows());
-    for (int64_t r = 0; r < a.num_rows(); ++r) {
-      for (size_t c = 0; c < a.schema()->num_fields(); ++c) {
-        Value va = a.At(r, static_cast<int>(c));
-        Value vb = b.At(r, static_cast<int>(c));
-        EXPECT_TRUE(va == vb || (va.is_null() && vb.is_null()))
-            << "row " << r << " col " << c;
-      }
-    }
-  }
-
   std::string path_;
 };
 
@@ -56,7 +44,7 @@ TEST_F(SerdeTest, RoundTripAllTypesWithNulls) {
   ASSERT_TRUE(WriteTableBinary(original, path_).ok());
   auto loaded = ReadTableBinary(path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ExpectTablesEqual(original, *loaded);
+  EXPECT_TRUE(test::TablesEqual(*loaded, original));
   // Chunk structure preserved too.
   EXPECT_EQ(loaded->num_chunks(), original.num_chunks());
 }
